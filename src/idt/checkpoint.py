@@ -66,17 +66,18 @@ def save_checkpoint(path: str, params: dict, config: ModelConfig,
     for name, t in (opt_state or {}).items():
         table[_OPT_PREFIX + name] = t
 
-    body = MAGIC + struct.pack("<I", VERSION)
-    body += struct.pack("<6I", config.patch_size, config.embed_dim,
-                        config.block_pairs, config.heads,
-                        config.register_count, config.sg_lobes)
-    body += struct.pack("<B", 1 if config.aux_depth else 0)
-    body += struct.pack("<Q", int(step))
-    body += struct.pack("<I", len(table))
-    for name in sorted(table):
-        body += _pack_tensor(name, table[name])
-    body += struct.pack("<I", zlib.crc32(body))
-    atomic_write_bytes(path, body)
+    # one join at the end: growing a bytes object per tensor would recopy
+    # the whole buffer each time
+    parts = [MAGIC, struct.pack("<I", VERSION),
+             struct.pack("<6I", config.patch_size, config.embed_dim,
+                         config.block_pairs, config.heads,
+                         config.register_count, config.sg_lobes),
+             struct.pack("<B", 1 if config.aux_depth else 0),
+             struct.pack("<Q", int(step)),
+             struct.pack("<I", len(table))]
+    parts.extend(_pack_tensor(name, table[name]) for name in sorted(table))
+    body = b"".join(parts)
+    atomic_write_bytes(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 class _Reader:

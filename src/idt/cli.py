@@ -8,7 +8,8 @@
     idt relight   --checkpoint CKPT --sgm NEW.txt --out DIR image.pfm [...]
 
 Exit codes: 0 success, 2 usage or configuration error, 3 I/O error
-(including corrupt checkpoints), 4 numerical abort during training.
+(including corrupt checkpoints), 4 numerical abort (non-finite values)
+in any command.
 Every command is deterministic: rerunning with the same inputs produces
 byte-identical outputs.
 """
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalAbort as exc:
+    except (NumericalAbort, idtmodel.NonFiniteError) as exc:
         print(f"idt: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CheckpointError as exc:

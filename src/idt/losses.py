@@ -40,13 +40,9 @@ class LossConfig:
         return getattr(self, f"weight_{term}")
 
 
-def _t(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def recompose(albedo, s_diff, s_spec) -> Tensor:
     """albedo * s_diff + s_spec, elementwise; the formation identity."""
-    a, d, s = _t(albedo), _t(s_diff), _t(s_spec)
+    a, d, s = nd.as_tensor(albedo), nd.as_tensor(s_diff), nd.as_tensor(s_spec)
     if not (a.shape == d.shape == s.shape):
         raise ValueError(f"shape mismatch: {a.shape}, {d.shape}, {s.shape}")
     if a.shape[-1] != 3:
@@ -54,41 +50,36 @@ def recompose(albedo, s_diff, s_spec) -> Tensor:
     return a * d + s
 
 
-def loss_albedo(pred, gt, cfg: LossConfig | None = None) -> Tensor:
+def loss_albedo(pred, gt) -> Tensor:
     """Mean absolute difference; keeps material boundaries sharp."""
-    p, g = _t(pred), _t(gt)
+    p, g = nd.as_tensor(pred), nd.as_tensor(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     return nd.tmean(nd.tabs(p - g))
 
 
-def loss_shading_log(pred, gt, cfg: LossConfig | None = None,
-                     eps: float | None = None) -> Tensor:
+def loss_shading_log(pred, gt, eps: float = 1e-4) -> Tensor:
     """Mean squared log difference, used for both shading factors.
 
     Relative-intensity error: exactly invariant to common positive
     rescaling of pred and gt when eps is 0.
     """
-    e = (cfg.eps if cfg is not None else 1e-4) if eps is None else eps
-    p, g = _t(pred), _t(gt)
+    p, g = nd.as_tensor(pred), nd.as_tensor(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     if np.min(p.data) < 0 or np.min(g.data) < 0:
         raise ValueError("shading losses require nonnegative inputs")
-    diff = nd.tlog(p + e) - nd.tlog(g + e)
+    diff = nd.tlog(p + eps) - nd.tlog(g + eps)
     return nd.tmean(diff * diff)
 
 
-def loss_recon(albedo, s_diff, s_spec, images,
-               cfg: LossConfig | None = None) -> Tensor:
+def loss_recon(albedo, s_diff, s_spec, images) -> Tensor:
     """Per-view mean |recompose - image|, averaged over views.
 
     Views share one resolution, so this equals a single global mean over
     the stacked [V, H, W, 3] arrays.
     """
-    a = _t(albedo)
-    imgs = images.images() if hasattr(images, "images") else images
-    i = _t(np.stack(imgs) if isinstance(imgs, (list, tuple)) else imgs)
+    a, i = nd.as_tensor(albedo), nd.as_tensor(images)
     if a.ndim != 4 or i.ndim != 4:
         raise ValueError("loss_recon expects stacked [V, H, W, 3] inputs")
     if a.shape[0] != i.shape[0]:
@@ -120,26 +111,13 @@ def _illum_vec_loss(pred_vec: Tensor, gt_vec: np.ndarray, k: int) -> Tensor:
     return total + (amb * amb).sum()
 
 
-def loss_illum(pred: sglight.SGMixture, gt: sglight.SGMixture,
-               cfg: LossConfig | None = None) -> Tensor:
-    """Parameter-space distance between two mixtures, order-free.
-
-    Both mixtures are canonicalized before packing, so a lobe permutation
-    costs nothing.
-    """
-    if pred.k != gt.k:
-        raise ValueError(f"lobe-count mismatch: {pred.k} vs {gt.k}")
-    pv = sglight.pack(pred)
-    gv = sglight.pack(gt)
-    return _illum_vec_loss(Tensor(pv), gv, pred.k)
-
-
 def loss_illum_packed(pred_vec: Tensor, gt: sglight.SGMixture) -> Tensor:
-    """Differentiable route for the model's raw illumination output.
+    """Parameter-space distance from a packed prediction to a mixture.
 
     `pred_vec` is the canonical pack-space Tensor (axes already unit and
-    lobes in canonical order, as produced by the conditioning helper);
-    value agrees with loss_illum(unpack(raw), gt) away from degeneracies.
+    lobes in canonical order), as produced by the conditioning helper or
+    by Tensor(sglight.pack(m)) for a mixture m; `gt` is canonicalized by
+    packing, so a lobe permutation costs nothing.
     """
     if pred_vec.shape != (7 * gt.k + 3,):
         raise ValueError(f"expected packed length {7 * gt.k + 3}, "
@@ -147,54 +125,31 @@ def loss_illum_packed(pred_vec: Tensor, gt: sglight.SGMixture) -> Tensor:
     return _illum_vec_loss(pred_vec, sglight.pack(gt), gt.k)
 
 
-def loss_total(intrinsics, ground_truth, images,
+def loss_total(intrinsics: dict, ground_truth: dict, images,
                cfg: LossConfig | None = None):
-    """Weighted sum of the available terms plus a per-term breakdown.
+    """Weighted sum of the five terms plus a per-term breakdown.
 
-    `intrinsics`: dict with Tensors or arrays under keys albedo / s_diff /
-    s_spec and either illum_cond (packed Tensor, training) or illumination
-    (SGMixture), or any object exposing those attributes. `ground_truth`:
-    same layer keys; any missing layer silently drops its term, leaving at
-    least reconstruction against the images. Returns (total, breakdown)
-    where breakdown maps term name to its unweighted scalar Tensor.
+    `intrinsics`: albedo / s_diff / s_spec Tensors or arrays and the
+    packed illumination Tensor under illum_cond, as `model.forward`
+    returns them. `ground_truth`: albedo / s_diff / s_spec arrays and the
+    illumination SGMixture, as `stack_ground_truth` returns them. Returns
+    (total, breakdown) where breakdown maps term name to its unweighted
+    scalar Tensor.
     """
     cfg = cfg or LossConfig()
     cfg.validate()
-
-    def get(src, key):
-        if src is None:
-            return None
-        if isinstance(src, dict):
-            return src.get(key)
-        return getattr(src, key, None)
-
-    breakdown: dict = {}
-    pa, pd, ps = (get(intrinsics, k) for k in ("albedo", "s_diff", "s_spec"))
-    if pa is None or pd is None or ps is None:
-        raise ValueError("intrinsics must provide albedo, s_diff, s_spec")
-
-    ga = get(ground_truth, "albedo")
-    if ga is not None:
-        breakdown["alb"] = loss_albedo(pa, ga, cfg)
-    gd = get(ground_truth, "s_diff")
-    if gd is not None:
-        breakdown["diff"] = loss_shading_log(pd, gd, cfg)
-    gs = get(ground_truth, "s_spec")
-    if gs is not None:
-        breakdown["spec"] = loss_shading_log(ps, gs, cfg)
-    breakdown["recon"] = loss_recon(pa, pd, ps, images, cfg)
-    gl = get(ground_truth, "illumination")
-    if gl is not None:
-        cond = get(intrinsics, "illum_cond")
-        if cond is not None:
-            breakdown["illum"] = loss_illum_packed(cond, gl)
-        else:
-            breakdown["illum"] = loss_illum(get(intrinsics, "illumination"), gl, cfg)
-
+    pa, pd, ps = (intrinsics[k] for k in ("albedo", "s_diff", "s_spec"))
+    breakdown = {
+        "alb": loss_albedo(pa, ground_truth["albedo"]),
+        "diff": loss_shading_log(pd, ground_truth["s_diff"], cfg.eps),
+        "spec": loss_shading_log(ps, ground_truth["s_spec"], cfg.eps),
+        "recon": loss_recon(pa, pd, ps, images),
+        "illum": loss_illum_packed(intrinsics["illum_cond"],
+                                   ground_truth["illumination"]),
+    }
     total = None
     for term, value in breakdown.items():
-        w = cfg.weight(term)
-        piece = value * w
+        piece = value * cfg.weight(term)
         total = piece if total is None else total + piece
     return total, breakdown
 
@@ -205,7 +160,7 @@ def loss_depth_log(pred, gt) -> Tensor:
 
     Returns 0 when no pixel has finite ground truth.
     """
-    p = _t(pred)
+    p = nd.as_tensor(pred)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")

@@ -12,10 +12,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import losses, scenes
 
@@ -70,47 +69,46 @@ def log_rmse(pred, gt, eps: float = 1e-4) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-@lru_cache(maxsize=4)
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size) - half
+    """Normalized 1-D Gaussian; its outer product is the 2-D SSIM window."""
+    x = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    k /= k.sum()
-    k.flags.writeable = False
-    return k
-
-
-def _ssim_channel(a: np.ndarray, b: np.ndarray, peak: float) -> float:
-    k = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
-    mu_a = convolve2d(a, k, mode="valid")
-    mu_b = convolve2d(b, k, mode="valid")
-    var_a = convolve2d(a * a, k, mode="valid") - mu_a * mu_a
-    var_b = convolve2d(b * b, k, mode="valid") - mu_b * mu_b
-    cov = convolve2d(a * b, k, mode="valid") - mu_a * mu_b
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return g / g.sum()
 
 
 def ssim(a, b, peak: float = 1.0) -> float:
     """Mean local SSIM, Gaussian 11x11 window sigma 1.5, K1/K2 0.01/0.03,
-    dynamic range `peak`; 'valid' windows only, channels averaged."""
+    dynamic range `peak`; 'valid' windows only, channels averaged.
+
+    HxW or HxWxC images, or stacks [V, H, W, C] scored as the mean over
+    views. The separable window runs as one 1-D pass per image axis over
+    all five local statistics at once.
+    """
     a, b = _check_pair(a, b)
     if a.ndim == 2:
         a = a[..., None]
         b = b[..., None]
-    if a.ndim != 3:
+    if a.ndim < 3:
         raise ValueError(f"expected HxW or HxWxC images, got {a.shape}")
-    h, w = a.shape[:2]
+    h, w = a.shape[-3:-1]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
         raise ValueError(f"image {h}x{w} smaller than the "
                          f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    vals = [_ssim_channel(a[..., c], b[..., c], peak)
-            for c in range(a.shape[2])]
-    return float(np.mean(vals))
+    g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    a = np.moveaxis(a, -1, -3)
+    b = np.moveaxis(b, -1, -3)
+    stats = np.stack([a, b, a * a, b * b, a * b])
+    for axis in (-1, -2):
+        stats = sliding_window_view(stats, SSIM_WINDOW, axis=axis) @ g
+    mu_a, mu_b, e_aa, e_bb, e_ab = stats
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 # warping ------------------------------------------------------------------
@@ -217,16 +215,14 @@ class ConsistencyResult:
 
 
 def consistency_score(maps, cameras, depths,
-                      occlusion_tau: float = DEFAULT_OCCLUSION_TAU,
-                      all_references: bool = False) -> ConsistencyResult:
+                      occlusion_tau: float = DEFAULT_OCCLUSION_TAU
+                      ) -> ConsistencyResult:
     """Cross-view agreement of per-view maps under ground-truth warping.
 
     Each non-reference view is warped into the reference view (view 0 by
     convention) and compared by mean L1 over the valid mask; pair scores
     are averaged. A pair with an empty mask yields NaN (undefined), which
     propagates to the score rather than counting as zero agreement.
-    `all_references` averages over every ordered (reference, source) pair
-    instead, making the score symmetric under view relabeling.
     """
     maps = np.stack([np.asarray(m, dtype=np.float64) for m in maps])
     depths = np.stack([np.asarray(d, dtype=np.float64) for d in depths])
@@ -236,25 +232,20 @@ def consistency_score(maps, cameras, depths,
     if not (len(cameras) == v and depths.shape[0] == v):
         raise ValueError("views, cameras, and depths must align")
 
-    refs = range(v) if all_references else (0,)
     scores = []
     coverages = []
-    for r in refs:
-        for s in range(v):
-            if s == r:
-                continue
-            wr = warp_to_reference(maps[s], cameras[s], cameras[r],
-                                   depths[r], occlusion_tau,
-                                   src_depth=depths[s])
-            n = int(wr.valid_mask.sum())
-            coverages.append(n / wr.valid_mask.size)
-            if n == 0:
-                scores.append(math.nan)
-                continue
-            diff = np.abs(wr.warped - maps[r])
-            if diff.ndim == 3:
-                diff = diff.mean(axis=-1)
-            scores.append(float(diff[wr.valid_mask].mean()))
+    for s in range(1, v):
+        wr = warp_to_reference(maps[s], cameras[s], cameras[0], depths[0],
+                               occlusion_tau, src_depth=depths[s])
+        n = int(wr.valid_mask.sum())
+        coverages.append(n / wr.valid_mask.size)
+        if n == 0:
+            scores.append(math.nan)
+            continue
+        diff = np.abs(wr.warped - maps[0])
+        if diff.ndim == 3:
+            diff = diff.mean(axis=-1)
+        scores.append(float(diff[wr.valid_mask].mean()))
     return ConsistencyResult(float(np.mean(scores)), float(np.mean(coverages)),
                              len(scores))
 
@@ -307,7 +298,7 @@ def evaluate_batch(intrinsics, batch: scenes.MultiViewBatch,
             "scene": scene_id,
             "factor": factor,
             "psnr": p,
-            "ssim": stack_metric(ssim, a, b),
+            "ssim": ssim(a, b),
             "mae": stack_metric(mae, a, b),
             "log_rmse": stack_metric(lambda x, y: log_rmse(np.clip(x, 0, None),
                                                            np.clip(y, 0, None),

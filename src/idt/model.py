@@ -243,14 +243,6 @@ def _posenc(gh: int, gw: int, d: int) -> np.ndarray:
     return pe
 
 
-def _extract_patches(image: np.ndarray, p: int) -> np.ndarray:
-    h, w, c = image.shape
-    gh, gw = h // p, w // p
-    return (image.reshape(gh, p, gw, p, c)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(gh * gw, p * p * c))
-
-
 def _unpatchify(flat: Tensor, grid: tuple, p: int, c: int) -> Tensor:
     v = flat.shape[0]
     gh, gw = grid
@@ -259,13 +251,15 @@ def _unpatchify(flat: Tensor, grid: tuple, p: int, c: int) -> Tensor:
     return x.reshape((v, gh * p, gw * p, c))
 
 
-def patchify(image: np.ndarray, config: ModelConfig, params: dict) -> Tensor:
-    """One image [H, W, 3] -> [gh*gw, d] patch tokens with positions."""
-    config.validate()
-    image = np.asarray(image, dtype=np.float64)
-    gh, gw = config.check_resolution(image.shape[0], image.shape[1])
-    flat = Tensor(_extract_patches(image, config.patch_size))
-    tok = flat @ params["patch/weight"] + params["patch/bias"]
+def patchify(images: np.ndarray, config: ModelConfig, params: dict) -> Tensor:
+    """Images [V, H, W, 3] -> [V, gh*gw, d] patch tokens with positions."""
+    v, h, w, c = images.shape
+    gh, gw = config.check_resolution(h, w)
+    p = config.patch_size
+    patches = (images.reshape(v, gh, p, gw, p, c)
+               .transpose(0, 1, 3, 2, 4, 5)
+               .reshape(v, gh * gw, p * p * c))
+    tok = Tensor(patches) @ params["patch/weight"] + params["patch/bias"]
     return tok + Tensor(_posenc(gh, gw, config.embed_dim))
 
 
@@ -305,15 +299,11 @@ def encode(images, config: ModelConfig, params: dict) -> TokenSet:
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
-    v, h, w = images.shape[0], images.shape[1], images.shape[2]
-    grid = config.check_resolution(h, w)
+    v = images.shape[0]
+    grid = config.check_resolution(images.shape[1], images.shape[2])
     d = config.embed_dim
     r = config.register_count
-
-    patches = np.stack([_extract_patches(images[i], config.patch_size)
-                        for i in range(v)])
-    tok = Tensor(patches) @ params["patch/weight"] + params["patch/bias"]
-    tok = tok + Tensor(_posenc(grid[0], grid[1], d))
+    tok = patchify(images, config, params)
 
     # identical start tokens for every view: no view-index dependence
     tile = Tensor(np.ones((v, 1, 1)))
@@ -396,27 +386,16 @@ def _illum_raw(ctx: AdaptedContext, params: dict) -> Tensor:
     return ctx.context.mean(axis=0) @ params["head/illum/w"] + params["head/illum/b"]
 
 
-def predict_illumination(tokens: TokenSet, ctx: AdaptedContext, params: dict,
-                         k: int) -> sglight.SGMixture:
-    """Shared scene illumination as a valid, canonical SGMixture."""
-    raw = _illum_raw(ctx, params)
-    return sglight.unpack(raw.data, k)
-
-
-def predict_shading(tokens: TokenSet, ctx: AdaptedContext, illumination,
+def predict_shading(tokens: TokenSet, ctx: AdaptedContext, cond: Tensor,
                     params: dict, kind: str) -> Tensor:
     """Per-view shading maps [V, H, W, 3], >= 0.
 
-    `illumination` is either an SGMixture (conditioning enters as a
-    constant) or a differentiable pack-space Tensor as produced by
-    illumination_conditioning (training path).
+    `cond` is the pack-space illumination Tensor, as produced by
+    illumination_conditioning (or Tensor(sglight.pack(m)) for a fixed
+    mixture m).
     """
     if kind not in ("diff", "spec"):
         raise ValueError(f"kind must be 'diff' or 'spec', got {kind!r}")
-    if isinstance(illumination, sglight.SGMixture):
-        cond = Tensor(sglight.pack(illumination))
-    else:
-        cond = illumination
     d = tokens.tokens.shape[2]
     prefix = f"head/{kind}"
     mod = ctx.context.mean(axis=0) @ params[f"{prefix}/mod_w"] + params[f"{prefix}/mod_b"]
@@ -470,13 +449,11 @@ def forward(images, config: ModelConfig, params: dict) -> dict:
     return out
 
 
-def decompose(images, config: ModelConfig, params: dict,
-              cameras=None) -> IntrinsicSet:
+def decompose(images, config: ModelConfig, params: dict) -> IntrinsicSet:
     """Feed-forward decomposition of V views into an IntrinsicSet.
 
-    One forward pass: no sampling loop, no iterative refinement. Cameras
-    are accepted for interface symmetry with the evaluation tools but the
-    network does not consume them.
+    One forward pass: no sampling loop, no iterative refinement, and no
+    camera input.
     """
     out = forward(images, config, params)
     depth = out["depth"].data if config.aux_depth else None

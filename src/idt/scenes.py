@@ -72,36 +72,13 @@ class Camera:
         return -self.rotation.T @ self.translation
 
 
-def project(camera: Camera, world_point) -> tuple:
-    """World point -> (pixel xy, z-depth).
-
-    Points at or behind the camera plane (depth <= 0) are flagged by NaN
-    pixel coordinates rather than silently projected; the returned depth
-    carries the sign.
-    """
-    p = np.asarray(world_point, dtype=np.float64)
-    pc = camera.rotation @ p + camera.translation
-    depth = float(pc[2])
-    if depth <= 0.0:
-        return np.array([np.nan, np.nan]), depth
-    pixel = np.array([camera.fx * pc[0] / depth + camera.cx,
-                      camera.fy * pc[1] / depth + camera.cy])
-    return pixel, depth
-
-
-def unproject(camera: Camera, pixel, depth: float) -> np.ndarray:
-    """Pixel xy plus positive z-depth -> world point; inverse of project."""
-    if not depth > 0.0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    px = np.asarray(pixel, dtype=np.float64)
-    pc = np.array([(px[0] - camera.cx) / camera.fx * depth,
-                   (px[1] - camera.cy) / camera.fy * depth,
-                   depth])
-    return camera.rotation.T @ (pc - camera.translation)
-
-
 def project_batch(camera: Camera, points: np.ndarray):
-    """project over [M, 3] points -> (pixels [M, 2], depths [M], valid [M])."""
+    """World points [M, 3] -> (pixel xy [M, 2], z-depth [M], valid [M]).
+
+    Points at or behind the camera plane (depth <= 0) are flagged invalid
+    and get NaN pixel coordinates rather than being silently projected;
+    the returned depth carries the sign.
+    """
     pts = np.asarray(points, dtype=np.float64)
     pc = pts @ camera.rotation.T + camera.translation
     depth = pc[:, 2]
@@ -115,9 +92,12 @@ def project_batch(camera: Camera, points: np.ndarray):
 
 def unproject_batch(camera: Camera, pixels: np.ndarray,
                     depths: np.ndarray) -> np.ndarray:
-    """unproject over [M, 2] pixels and [M] positive depths -> [M, 3]."""
+    """Pixel xy [M, 2] plus positive z-depths [M] -> world points [M, 3];
+    inverse of project_batch."""
     px = np.asarray(pixels, dtype=np.float64)
     d = np.asarray(depths, dtype=np.float64)
+    if not np.all(d > 0.0):
+        raise ValueError("depths must be positive")
     pc = np.stack([(px[:, 0] - camera.cx) / camera.fx * d,
                    (px[:, 1] - camera.cy) / camera.fy * d,
                    d], axis=1)
@@ -568,7 +548,7 @@ def render_view(scene: SceneSpec, camera: Camera, resolution) -> GroundTruthFram
     if bg.any():
         # environment radiance along the ray, ambient excluded by convention
         rays = dirs[bg] / np.linalg.norm(dirs[bg], axis=1, keepdims=True)
-        env = sglight._radiance_batch(mix, rays) - mix.ambient
+        env = sglight.sg_radiance(mix, rays) - mix.ambient
         s_spec[bg] = np.maximum(env, 0.0)
 
     image = albedo * s_diff + s_spec

@@ -125,17 +125,13 @@ def canonicalize(mixture: SGMixture) -> SGMixture:
 # radiance -------------------------------------------------------------------
 
 
-def sg_radiance(mixture: SGMixture, direction) -> np.ndarray:
-    """Radiance arriving from `direction` (unit vector), linear RGB."""
-    d = np.asarray(direction, dtype=np.float64)
-    if d.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {d.shape}")
-    _check_unit(d, "direction", DIR_NORM_TOL)
-    return _radiance_batch(mixture, d[None, :])[0]
-
-
-def _radiance_batch(mixture: SGMixture, dirs: np.ndarray) -> np.ndarray:
-    """sg_radiance over an [M, 3] array of unit directions, no validation."""
+def sg_radiance(mixture: SGMixture, directions) -> np.ndarray:
+    """Radiance arriving from unit `directions` [..., 3], linear RGB [..., 3]."""
+    dirs = np.asarray(directions, dtype=np.float64)
+    if dirs.shape[-1:] != (3,):
+        raise ValueError(f"directions must be [..., 3], got shape {dirs.shape}")
+    if np.any(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) > DIR_NORM_TOL):
+        raise ValueError("directions must be unit length")
     out = np.broadcast_to(mixture.ambient, dirs.shape[:-1] + (3,)).copy()
     for lobe in mixture.lobes:
         t = dirs @ lobe.axis  # cos angle to lobe axis
@@ -265,32 +261,23 @@ def _sharpened(mixture: SGMixture, gloss: float) -> SGMixture:
     return SGMixture(lobes, np.zeros(3))
 
 
-def specular_response(mixture: SGMixture, normal, view_dir,
-                      gloss: float) -> np.ndarray:
-    """Glossy reflection toward `view_dir` off a surface with `normal`.
+def specular_response_batch(mixture: SGMixture, normals: np.ndarray,
+                            view_dirs: np.ndarray, gloss: float) -> np.ndarray:
+    """Glossy reflection toward unit `view_dirs` [M, 3] off surfaces with
+    unit `normals` [M, 3].
 
     Evaluates the lobes of the gloss-sharpened mixture (see _sharpened;
     ambient excluded) at the mirror direction r = 2(n.v)n - v; zero for
-    back-facing views (n.v <= 0). Nonnegative, linear RGB.
+    back-facing views (n.v <= 0). Nonnegative, linear RGB [M, 3].
     """
-    n = np.asarray(normal, dtype=np.float64)
-    v = np.asarray(view_dir, dtype=np.float64)
-    _check_unit(n, "normal", DIR_NORM_TOL)
-    _check_unit(v, "view_dir", DIR_NORM_TOL)
     if not gloss > 0.0:
         raise ValueError(f"gloss must be positive, got {gloss}")
-    return specular_response_batch(mixture, n[None, :], v[None, :], gloss)[0]
-
-
-def specular_response_batch(mixture: SGMixture, normals: np.ndarray,
-                            view_dirs: np.ndarray, gloss: float) -> np.ndarray:
-    """specular_response over [M, 3] arrays of unit normals and view dirs."""
     normals = np.asarray(normals, dtype=np.float64)
     view_dirs = np.asarray(view_dirs, dtype=np.float64)
     ndv = np.einsum("md,md->m", normals, view_dirs)
     refl = 2.0 * ndv[:, None] * normals - view_dirs
     sharp = _sharpened(mixture, float(gloss))
-    out = _radiance_batch(sharp, refl)
+    out = sg_radiance(sharp, refl)
     out[ndv <= 0.0] = 0.0
     return np.maximum(out, 0.0)
 

@@ -100,7 +100,9 @@ def run_training(cfg: RunConfig, resume: str | None = None,
     """Train per the run config; returns final parameters and state.
 
     `resume` loads a checkpoint and continues from its stored step. The
-    latest checkpoint and the loss log live in cfg.out_dir.
+    latest checkpoint and the loss log live in cfg.out_dir; a resumed run
+    keeps the first `step` lines of the log already there, so its log
+    reads as if the run had not been interrupted.
     """
     cfg.validate(need_dataset=True)
     manifest = load_manifest(cfg.dataset)
@@ -131,13 +133,17 @@ def run_training(cfg: RunConfig, resume: str | None = None,
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, CHECKPOINT_NAME)
     log_path = os.path.join(cfg.out_dir, LOG_NAME)
+    earlier: list = []
+    if resume is not None and os.path.exists(log_path):
+        with open(log_path) as f:
+            earlier = f.read().splitlines()[:step0]
 
     def save(done: int) -> None:
         opt = {n: Tensor(velocity[n]) for n in param_names}
         save_checkpoint(ckpt_path, params, cfg.model, step=done,
                         opt_state=opt)
         if lines:
-            atomic_write_text(log_path, "\n".join(lines) + "\n")
+            atomic_write_text(log_path, "\n".join(earlier + lines) + "\n")
 
     cache: dict = {}
     lines: list = []

@@ -149,6 +149,17 @@ class TestDecompose:
                          str(tmp_path / "o")]
                         + scene_images(tiny_dataset, 1)) == 3
 
+    def test_non_finite_is_numerical_abort(self, tiny_dataset, tmp_path,
+                                           capsys):
+        params = dict(init_params(MICRO, seed=0))
+        params["tokens/camera"] = Tensor(np.full(MICRO.embed_dim, np.nan))
+        ck = tmp_path / "nan.bin"
+        save_checkpoint(ck, params, MICRO)
+        rc = cli.main(["decompose", "--checkpoint", str(ck), "--out",
+                       str(tmp_path / "o")] + scene_images(tiny_dataset, 1))
+        assert rc == 4
+        assert "numerical abort" in capsys.readouterr().err
+
 
 class TestEval:
     def eval_cfg(self, tiny_dataset, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from idt import losses, model, scenes, sglight
 from idt.losses import (LossConfig, format_loss_line, loss_albedo,
-                        loss_depth_log, loss_illum, loss_illum_packed,
+                        loss_depth_log, loss_illum_packed,
                         loss_recon, loss_shading_log, loss_total, recompose,
                         stack_ground_truth)
 from idt.ndtensor import Tape, Tensor, grad
@@ -218,6 +218,11 @@ class TestReconLoss:
                    lambda x: float(loss_recon(x, d, s, i).data), a0)
 
 
+def loss_illum(pred, gt):
+    """Illumination loss of a value-level predicted mixture."""
+    return loss_illum_packed(Tensor(sglight.pack(pred)), gt)
+
+
 class TestIllumLoss:
     def test_zero_at_equality(self):
         m = random_mixture(np.random.default_rng(0))
@@ -280,7 +285,7 @@ class TestTotalLoss:
             "albedo": rng.uniform(size=shape),
             "s_diff": rng.uniform(0.1, 1.0, size=shape),
             "s_spec": rng.uniform(0.0, 0.4, size=shape),
-            "illumination": random_mixture(rng),
+            "illum_cond": Tensor(sglight.pack(random_mixture(rng))),
         }
         gt = {
             "albedo": rng.uniform(size=shape),
@@ -303,7 +308,7 @@ class TestTotalLoss:
     def test_perfect_predictions(self):
         batch = small_batch(7)
         gt = stack_ground_truth(batch)
-        pred = dict(gt)
+        pred = dict(gt, illum_cond=Tensor(sglight.pack(gt["illumination"])))
         total, breakdown = loss_total(pred, gt, batch.images())
         assert float(total.data) < 1e-6
         for term in ("alb", "diff", "spec", "recon", "illum"):
@@ -314,19 +319,15 @@ class TestTotalLoss:
         cfg = LossConfig()
         total, breakdown = loss_total(pred, gt, images, cfg)
         expect = (float(loss_albedo(pred["albedo"], gt["albedo"]).data)
-                  + float(loss_shading_log(pred["s_diff"], gt["s_diff"], cfg).data)
-                  + float(loss_shading_log(pred["s_spec"], gt["s_spec"], cfg).data)
+                  + float(loss_shading_log(pred["s_diff"], gt["s_diff"],
+                                           cfg.eps).data)
+                  + float(loss_shading_log(pred["s_spec"], gt["s_spec"],
+                                           cfg.eps).data)
                   + float(loss_recon(pred["albedo"], pred["s_diff"],
                                      pred["s_spec"], images).data)
-                  + 0.1 * float(loss_illum(pred["illumination"],
-                                           gt["illumination"]).data))
+                  + 0.1 * float(loss_illum_packed(pred["illum_cond"],
+                                                  gt["illumination"]).data))
         assert abs(float(total.data) - expect) < 1e-12
-
-    def test_missing_layers_skip_terms(self):
-        pred, gt, images = self._random_case(2)
-        partial = {"s_diff": gt["s_diff"]}
-        total, breakdown = loss_total(pred, partial, images)
-        assert set(breakdown) == {"diff", "recon"}
 
     def test_weight_superposition(self):
         pred, gt, images = self._random_case(3)
@@ -349,18 +350,21 @@ class TestTotalLoss:
             "albedo": rng.uniform(size=shape),
             "s_diff": rng.uniform(0.1, 1.0, size=shape),
             "s_spec": rng.uniform(0.05, 0.4, size=shape),
+            "illumination": random_mixture(rng),
         }
         images = rng.uniform(size=shape)
         d = rng.uniform(0.1, 1.0, size=shape)
         s = rng.uniform(0.05, 0.4, size=shape)
+        cond = Tensor(sglight.pack(random_mixture(rng)))
         a0 = rng.uniform(0.2, 0.8, size=shape)
 
         def build(t):
-            pred = {"albedo": t, "s_diff": Tensor(d), "s_spec": Tensor(s)}
+            pred = {"albedo": t, "s_diff": Tensor(d), "s_spec": Tensor(s),
+                    "illum_cond": cond}
             return loss_total(pred, gt, images)[0]
 
         def f(x):
-            pred = {"albedo": x, "s_diff": d, "s_spec": s}
+            pred = {"albedo": x, "s_diff": d, "s_spec": s, "illum_cond": cond}
             return float(loss_total(pred, gt, images)[0].data)
 
         check_grad(build, f, a0)

@@ -4,8 +4,7 @@ import pytest
 from idt import losses, model, scenes, sglight
 from idt.model import (FACTORS, ModelConfig, adapt, adapter_param_names,
                        decompose, encode, forward, init_params, patchify,
-                       predict_albedo, predict_depth, predict_illumination,
-                       predict_shading)
+                       predict_albedo, predict_depth, predict_shading)
 from idt.ndtensor import Tape, Tensor, grad
 
 MICRO = ModelConfig(patch_size=8, embed_dim=16, block_pairs=1, heads=2,
@@ -71,34 +70,33 @@ class TestParams:
 class TestPatchify:
     def test_token_count(self):
         params = init_params(ModelConfig())
-        tok = patchify(np.zeros((64, 64, 3)), ModelConfig(), params)
-        assert tok.shape == (64, 64)  # 8x8 grid of d=64 vectors
+        tok = patchify(np.zeros((2, 64, 64, 3)), ModelConfig(), params)
+        assert tok.shape == (2, 64, 64)  # per view, 8x8 grid of d=64 vectors
 
     def test_zero_image_is_bias_plus_positions(self):
         cfg = SMALL
         params = init_params(cfg)
-        tok = patchify(np.zeros((32, 32, 3)), cfg, params)
+        tok = patchify(np.zeros((2, 32, 32, 3)), cfg, params)
         pe = model._posenc(4, 4, cfg.embed_dim)
         expect = params["patch/bias"].data + pe
-        assert np.array_equal(tok.data, expect)
+        assert np.array_equal(tok.data, np.stack([expect, expect]))
 
     def test_locality(self):
         cfg = SMALL
         params = init_params(cfg)
         rng = np.random.default_rng(0)
-        img = rng.uniform(size=(32, 32, 3))
+        img = rng.uniform(size=(2, 32, 32, 3))
         other = img.copy()
-        other[8:16, 16:24] += 0.25  # grid position (1, 2)
+        other[1, 8:16, 16:24] += 0.25  # view 1, grid position (1, 2)
         a = patchify(img, cfg, params).data
         b = patchify(other, cfg, params).data
-        diff = np.abs(a - b).sum(axis=1)
-        changed = np.nonzero(diff > 0)[0]
-        assert list(changed) == [1 * 4 + 2]
+        diff = np.abs(a - b).sum(axis=2)
+        assert [tuple(ix) for ix in np.argwhere(diff > 0)] == [(1, 1 * 4 + 2)]
 
     def test_indivisible_resolution(self):
         params = init_params(SMALL)
         with pytest.raises(ValueError):
-            patchify(np.zeros((30, 32, 3)), SMALL, params)
+            patchify(np.zeros((1, 30, 32, 3)), SMALL, params)
 
 
 class TestEncode:
@@ -188,34 +186,32 @@ class TestHeads:
 
     def test_shading_nonnegative(self):
         params, imgs, toks = self._setup(seed=1, scale=4.0)
-        mix = sglight.unpack(np.random.default_rng(0).normal(size=24), 3)
+        cond = Tensor(np.random.default_rng(0).normal(size=24))
         for kind in ("diff", "spec"):
             ctx = adapt(toks, kind, params, SMALL.heads)
-            out = predict_shading(toks, ctx, mix, params, kind).data
+            out = predict_shading(toks, ctx, cond, params, kind).data
             assert out.shape == imgs.shape
             assert out.min() >= 0.0
 
     def test_shading_kind_validated(self):
         params, imgs, toks = self._setup()
         ctx = adapt(toks, "diff", params, SMALL.heads)
-        mix = sglight.unpack(np.zeros(24), 3)
         with pytest.raises(ValueError):
-            predict_shading(toks, ctx, mix, params, "albedo")
+            predict_shading(toks, ctx, Tensor(np.zeros(24)), params, "albedo")
 
     def test_shading_sensitive_to_illumination(self):
         params, imgs, toks = self._setup(seed=2)
         ctx = adapt(toks, "diff", params, SMALL.heads)
         rng = np.random.default_rng(1)
-        m1 = sglight.unpack(rng.normal(size=24), 3)
-        m2 = sglight.unpack(rng.normal(size=24), 3)
-        o1 = predict_shading(toks, ctx, m1, params, "diff").data
-        o2 = predict_shading(toks, ctx, m2, params, "diff").data
+        c1 = Tensor(sglight.pack(sglight.unpack(rng.normal(size=24), 3)))
+        c2 = Tensor(sglight.pack(sglight.unpack(rng.normal(size=24), 3)))
+        o1 = predict_shading(toks, ctx, c1, params, "diff").data
+        o2 = predict_shading(toks, ctx, c2, params, "diff").data
         assert np.max(np.abs(o1 - o2)) > 1e-6
 
     def test_illumination_contract(self):
         params, imgs, toks = self._setup(seed=3)
-        ctx = adapt(toks, "illum", params, SMALL.heads)
-        mix = predict_illumination(toks, ctx, params, SMALL.sg_lobes)
+        mix = forward(imgs, SMALL, params)["illumination"]
         assert mix.k == SMALL.sg_lobes
         assert np.all(mix.ambient >= 0)
         lums = [float(l.amplitude @ sglight.LUMA_WEIGHTS) for l in mix.lobes]

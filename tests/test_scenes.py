@@ -6,8 +6,8 @@ import pytest
 
 from idt import pfm, scenes, sglight
 from idt.scenes import (Camera, DatasetConfig, Plane, SceneConfig, SceneSpec,
-                        Sphere, generate_scene, make_dataset, project,
-                        render_view, unproject)
+                        Sphere, generate_scene, make_dataset, project_batch,
+                        render_view, unproject_batch)
 
 
 def ambient_only(a):
@@ -76,32 +76,31 @@ class TestCamera:
     def test_optical_axis_projects_to_principal_point(self):
         cam = simple_camera()
         # camera at (0,0,4) looking at origin: the axis point at depth 2
-        pix, depth = project(cam, np.array([0.0, 0.0, 2.0]))
-        np.testing.assert_allclose(pix, [cam.cx, cam.cy], atol=1e-12)
-        np.testing.assert_allclose(depth, 2.0, atol=1e-12)
+        pix, depth, valid = project_batch(cam, np.array([[0.0, 0.0, 2.0]]))
+        np.testing.assert_allclose(pix, [[cam.cx, cam.cy]], atol=1e-12)
+        np.testing.assert_allclose(depth, [2.0], atol=1e-12)
+        assert valid.all()
 
     def test_behind_camera_flagged(self):
         cam = simple_camera()
-        pix, depth = project(cam, np.array([0.0, 0.0, 9.0]))  # behind eye
-        assert depth < 0 and np.isnan(pix).all()
+        # behind the eye
+        pix, depth, valid = project_batch(cam, np.array([[0.0, 0.0, 9.0]]))
+        assert depth[0] < 0 and np.isnan(pix).all() and not valid.any()
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         cam = scenes.camera_from_fov([1.0, 2.0, 5.0], [0.2, -0.3, 0.0],
                                      48, 64, 45.0)
-        worst = 0.0
-        for _ in range(1000):
-            p = rng.uniform(-2, 2, 3)
-            pix, depth = project(cam, p)
-            if depth <= 0:
-                continue
-            back = unproject(cam, pix, depth)
-            worst = max(worst, np.abs(back - p).max())
-        assert worst < 1e-9
+        pts = rng.uniform(-2, 2, (1000, 3))
+        pix, depth, valid = project_batch(cam, pts)
+        back = unproject_batch(cam, pix[valid], depth[valid])
+        assert valid.sum() > 500
+        assert np.abs(back - pts[valid]).max() < 1e-9
 
     def test_unproject_requires_positive_depth(self):
         with pytest.raises(ValueError):
-            unproject(simple_camera(), [1.0, 1.0], 0.0)
+            unproject_batch(simple_camera(), np.ones((2, 2)),
+                            np.array([1.0, 0.0]))
 
     def test_pure_translation_disparity(self):
         # fronto-parallel point: disparity = f * baseline / depth
@@ -110,26 +109,31 @@ class TestCamera:
         b = 0.4
         shifted = Camera(np.eye(3), np.array([-b, 0.0, 0.0]), f, f, w / 2, h / 2)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                          rng.uniform(2.0, 6.0)])
-            pa, da = project(base, p)
-            pb, db = project(shifted, p)
-            assert abs(da - db) < 1e-12
-            np.testing.assert_allclose(pa[0] - pb[0], f * b / p[2], atol=1e-9)
-            np.testing.assert_allclose(pa[1], pb[1], atol=1e-12)
+        p = np.stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50),
+                      rng.uniform(2.0, 6.0, 50)], axis=1)
+        pa, da, _ = project_batch(base, p)
+        pb, db, _ = project_batch(shifted, p)
+        np.testing.assert_allclose(da, db, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pa[:, 0] - pb[:, 0], f * b / p[:, 2],
+                                   atol=1e-9)
+        np.testing.assert_allclose(pa[:, 1], pb[:, 1], atol=1e-12)
 
     def test_batch_matches_single(self):
         cam = scenes.camera_from_fov([0.5, 1.0, 4.0], [0, 0, 0], 32, 32, 50.0)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-3, 3, (64, 3))
-        pix, dep, valid = scenes.project_batch(cam, pts)
+        pix, dep, valid = project_batch(cam, pts)
         for i in range(64):
-            p1, d1 = project(cam, pts[i])
-            assert abs(d1 - dep[i]) < 1e-12
+            pc = cam.rotation @ pts[i] + cam.translation
+            assert abs(pc[2] - dep[i]) < 1e-12
+            assert valid[i] == (pc[2] > 0)
             if valid[i]:
-                np.testing.assert_allclose(pix[i], p1, atol=1e-12)
-        back = scenes.unproject_batch(cam, pix[valid], dep[valid])
+                np.testing.assert_allclose(
+                    pix[i], [cam.fx * pc[0] / pc[2] + cam.cx,
+                             cam.fy * pc[1] / pc[2] + cam.cy], atol=1e-12)
+            else:
+                assert np.isnan(pix[i]).all()
+        back = unproject_batch(cam, pix[valid], dep[valid])
         np.testing.assert_allclose(back, pts[valid], atol=1e-9)
 
     def test_camera_file_round_trip(self, tmp_path):
@@ -271,17 +275,14 @@ class TestRenderView:
         lum = f.s_diff.sum(axis=2)
         lum[~hit] = -1.0
         i, j = np.unravel_index(np.argmax(lum), lum.shape)
-        # normal at the brightest pixel vs lobe axis
-        d = f.depth[i, j]
-        pix = np.array([j + 0.5, i + 0.5])
-        p = unproject(cam, pix, d)
-        n = p / np.linalg.norm(p)  # unit sphere at origin
-        # among rendered pixels, the brightest normal is the closest to the axis
-        assert n @ axis > 0.99 * max(
-            (unproject(cam, np.array([jj + 0.5, ii + 0.5]), f.depth[ii, jj])
-             / np.linalg.norm(unproject(cam, np.array([jj + 0.5, ii + 0.5]),
-                                        f.depth[ii, jj]))) @ axis
-            for ii, jj in zip(*np.where(hit)))
+        rows, cols = np.where(hit)
+        pts = unproject_batch(cam, np.stack([cols + 0.5, rows + 0.5], axis=1),
+                              f.depth[rows, cols])
+        cos = (pts / np.linalg.norm(pts, axis=1, keepdims=True)) @ axis
+        # unit sphere at origin: the normal is the point; among rendered
+        # pixels, the brightest normal is the closest to the axis
+        brightest = np.nonzero((rows == i) & (cols == j))[0][0]
+        assert cos[brightest] > 0.99 * cos.max()
 
     def test_resolution_floor(self):
         spec = generate_scene(0)

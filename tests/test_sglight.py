@@ -116,7 +116,7 @@ class TestRadiance:
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = i * math.pi * (3.0 - math.sqrt(5.0))
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-        avg = sg._radiance_batch(m, dirs).mean(axis=0)
+        avg = sg.sg_radiance(m, dirs).mean(axis=0)
         np.testing.assert_allclose(sg.mean_radiance(m), avg, rtol=1e-4)
 
 
@@ -179,24 +179,21 @@ class TestSpecular:
         m = rand_mixture(rng)
         n = np.array([0.0, 0.0, 1.0])
         v = np.array([0.0, 0.0, -1.0])
-        np.testing.assert_array_equal(sg.specular_response(m, n, v, 50.0),
-                                      np.zeros(3))
         # grazing exactly at n.v = 0 also clamps
         v2 = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(sg.specular_response(m, n, v2, 50.0),
-                                      np.zeros(3))
+        got = sg.specular_response_batch(m, np.stack([n, n]),
+                                         np.stack([v, v2]), 50.0)
+        np.testing.assert_array_equal(got, np.zeros((2, 3)))
 
     def test_aligned_view_is_maximal(self):
         n = np.array([0.0, 0.0, 1.0])
         m = SGMixture((SGLobe(n, 8.0, [1, 1, 1]),), [0, 0, 0])
         rng = np.random.default_rng(9)
-        best = sg.specular_response(m, n, n, 30.0)
-        for _ in range(100):
-            v = rand_unit(rng)
-            if v @ n <= 0:
-                v = -v
-            r = sg.specular_response(m, n, v, 30.0)
-            assert (r <= best + 1e-12).all()
+        best = sg.specular_response_batch(m, n[None], n[None], 30.0)[0]
+        views = np.stack([rand_unit(rng) for _ in range(100)])
+        views[views @ n <= 0] *= -1.0
+        r = sg.specular_response_batch(m, np.tile(n, (100, 1)), views, 30.0)
+        assert (r <= best + 1e-12).all()
 
     def test_closed_form_expansion(self):
         # hand-expanded formula at one fixed configuration; ambient is
@@ -211,18 +208,20 @@ class TestSpecular:
         r = 2.0 * (n @ v) * n - v
         lam_eff = lam * g / (lam + g)
         expected = mu * math.exp(lam_eff * (r @ xi - 1.0))
-        got = sg.specular_response(m, n, v, g)
+        got = sg.specular_response_batch(m, n[None], v[None], g)[0]
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
     def test_pure_ambient_gives_zero(self):
         m = SGMixture((SGLobe([0, 0, 1], 1.0, [0, 0, 0]),), [0.4, 0.5, 0.6])
-        got = sg.specular_response(m, [0, 0, 1], [0, 0, 1], 30.0)
-        np.testing.assert_array_equal(got, np.zeros(3))
+        z = np.array([[0.0, 0.0, 1.0]])
+        got = sg.specular_response_batch(m, z, z, 30.0)
+        np.testing.assert_array_equal(got, np.zeros((1, 3)))
 
     def test_gloss_positive_required(self):
         m = SGMixture((SGLobe([0, 0, 1], 1.0, [1, 1, 1]),), [0, 0, 0])
+        z = np.array([[0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
-            sg.specular_response(m, [0, 0, 1], [0, 0, 1], 0.0)
+            sg.specular_response_batch(m, z, z, 0.0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(10)
@@ -231,8 +230,9 @@ class TestSpecular:
         views = np.stack([rand_unit(rng) for _ in range(6)])
         batch = sg.specular_response_batch(m, normals, views, 25.0)
         for i in range(6):
-            single = sg.specular_response(m, normals[i], views[i], 25.0)
-            np.testing.assert_array_equal(batch[i], single)
+            single = sg.specular_response_batch(m, normals[i:i + 1],
+                                                views[i:i + 1], 25.0)
+            np.testing.assert_array_equal(batch[i:i + 1], single)
 
 
 class TestCanonicalize:

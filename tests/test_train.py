@@ -70,6 +70,9 @@ class TestDeterminism:
         assert resumed.log_lines[0] == full.log_lines[4]
         assert resumed.log_lines == full.log_lines[4:]
         assert resumed.step == full.step == 8
+        # the resumed run's log file holds all eight steps, as if never cut
+        assert ((half_dir / "train_log.txt").read_bytes()
+                == (tmp_path / "full" / "train_log.txt").read_bytes())
         for k in full.params:
             np.testing.assert_array_equal(resumed.params[k].data,
                                           full.params[k].data)
