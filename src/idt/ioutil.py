@@ -6,14 +6,29 @@ failing command never leaves a partially written file behind.
 
 from __future__ import annotations
 
+import itertools
 import os
+
+_TMP_IDS = itertools.count()
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write `data` to a fresh temp file beside `path`, then rename it over.
+
+    The temp name is unique to this process and call, and exclusive
+    creation never opens an existing file, so no other file (a user's own
+    `<path>.tmp`, a concurrent writer's temp) is written or removed.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    while True:
+        tmp = f"{path}.{os.getpid()}.{next(_TMP_IDS)}.tmp"
+        try:
+            f = open(tmp, "xb")
+            break
+        except FileExistsError:  # left behind by a crashed earlier process
+            continue
     try:
-        with open(tmp, "wb") as f:
+        with f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

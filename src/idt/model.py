@@ -259,7 +259,7 @@ def patchify(images: np.ndarray, config: ModelConfig, params: dict) -> Tensor:
     patches = (images.reshape(v, gh, p, gw, p, c)
                .transpose(0, 1, 3, 2, 4, 5)
                .reshape(v, gh * gw, p * p * c))
-    tok = Tensor(patches) @ params["patch/weight"] + params["patch/bias"]
+    tok = nd.linear(patches, params["patch/weight"], params["patch/bias"])
     return tok + Tensor(_posenc(gh, gw, config.embed_dim))
 
 
@@ -273,17 +273,17 @@ def _mha(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str,
     def split(t, n):
         return t.reshape((b, n, heads, dh)).transpose((0, 2, 1, 3))
 
-    q = split(x_q @ params[f"{prefix}/wq"] + params[f"{prefix}/bq"], nq)
-    k = split(x_kv @ params[f"{prefix}/wk"] + params[f"{prefix}/bk"], nk)
-    v = split(x_kv @ params[f"{prefix}/wv"] + params[f"{prefix}/bv"], nk)
+    q = split(nd.linear(x_q, params[f"{prefix}/wq"], params[f"{prefix}/bq"]), nq)
+    k = split(nd.linear(x_kv, params[f"{prefix}/wk"], params[f"{prefix}/bk"]), nk)
+    v = split(nd.linear(x_kv, params[f"{prefix}/wv"], params[f"{prefix}/bv"]), nk)
     out = nd.attention(q, k, v)  # [b, heads, nq, dh]
     out = out.transpose((0, 2, 1, 3)).reshape((b, nq, d))
-    return out @ params[f"{prefix}/wo"] + params[f"{prefix}/bo"]
+    return nd.linear(out, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
 
 def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
-    h = nd.gelu(x @ params[f"{prefix}/mlp/w1"] + params[f"{prefix}/mlp/b1"])
-    return h @ params[f"{prefix}/mlp/w2"] + params[f"{prefix}/mlp/b2"]
+    h = nd.gelu(nd.linear(x, params[f"{prefix}/mlp/w1"], params[f"{prefix}/mlp/b1"]))
+    return nd.linear(h, params[f"{prefix}/mlp/w2"], params[f"{prefix}/mlp/b2"])
 
 
 def _block(x: Tensor, params: dict, prefix: str, heads: int) -> Tensor:
@@ -350,9 +350,10 @@ def adapt(tokens: TokenSet, factor: str, params: dict,
 def predict_albedo(tokens: TokenSet, ctx: AdaptedContext, params: dict) -> Tensor:
     """Per-view albedo maps [V, H, W, 3] in [0, 1]."""
     d = tokens.tokens.shape[2]
-    mod = ctx.context.mean(axis=0) @ params["head/alb/mod_w"] + params["head/alb/mod_b"]
+    mod = nd.linear(ctx.context.mean(axis=0), params["head/alb/mod_w"],
+                    params["head/alb/mod_b"])
     h = tokens.patch_tokens + mod.reshape((1, 1, d))
-    flat = nd.sigmoid(h @ params["head/alb/dec_w"] + params["head/alb/dec_b"])
+    flat = nd.sigmoid(nd.linear(h, params["head/alb/dec_w"], params["head/alb/dec_b"]))
     p = int(round((params["head/alb/dec_w"].shape[1] // 3) ** 0.5))
     return _unpatchify(flat, tokens.grid, p, 3)
 
@@ -383,7 +384,8 @@ def illumination_conditioning(raw: Tensor, k: int) -> Tensor:
 
 
 def _illum_raw(ctx: AdaptedContext, params: dict) -> Tensor:
-    return ctx.context.mean(axis=0) @ params["head/illum/w"] + params["head/illum/b"]
+    return nd.linear(ctx.context.mean(axis=0), params["head/illum/w"],
+                     params["head/illum/b"])
 
 
 def predict_shading(tokens: TokenSet, ctx: AdaptedContext, cond: Tensor,
@@ -398,10 +400,12 @@ def predict_shading(tokens: TokenSet, ctx: AdaptedContext, cond: Tensor,
         raise ValueError(f"kind must be 'diff' or 'spec', got {kind!r}")
     d = tokens.tokens.shape[2]
     prefix = f"head/{kind}"
-    mod = ctx.context.mean(axis=0) @ params[f"{prefix}/mod_w"] + params[f"{prefix}/mod_b"]
-    lmod = cond @ params[f"{prefix}/illum_w"] + params[f"{prefix}/illum_b"]
+    mod = nd.linear(ctx.context.mean(axis=0), params[f"{prefix}/mod_w"],
+                    params[f"{prefix}/mod_b"])
+    lmod = nd.linear(cond, params[f"{prefix}/illum_w"], params[f"{prefix}/illum_b"])
     h = tokens.patch_tokens + (mod + lmod).reshape((1, 1, d))
-    flat = nd.softplus(h @ params[f"{prefix}/dec_w"] + params[f"{prefix}/dec_b"])
+    flat = nd.softplus(nd.linear(h, params[f"{prefix}/dec_w"],
+                                 params[f"{prefix}/dec_b"]))
     p = int(round((params[f"{prefix}/dec_w"].shape[1] // 3) ** 0.5))
     return _unpatchify(flat, tokens.grid, p, 3)
 
@@ -412,8 +416,8 @@ def predict_depth(tokens: TokenSet, params: dict,
     if not config.aux_depth:
         raise ValueError("depth head is disabled (aux_depth off)")
     p = config.patch_size
-    flat = nd.texp(tokens.patch_tokens @ params["head/depth/w"]
-                   + params["head/depth/b"])
+    flat = nd.texp(nd.linear(tokens.patch_tokens, params["head/depth/w"],
+                             params["head/depth/b"]))
     v = flat.shape[0]
     gh, gw = tokens.grid
     out = _unpatchify(flat, tokens.grid, p, 1)

@@ -1,9 +1,31 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Everything runs on 64-bit floats and a dynamic tape: operations append a
-record (inputs, output, local gradient rule) to the innermost active Tape,
-and `grad` replays the records in exact reverse creation order, which makes
-gradients deterministic for a fixed sequence of operations.
+record (inputs, output, local gradient rule) to every open Tape, and `grad`
+replays the records in exact reverse creation order, which makes gradients
+deterministic for a fixed sequence of operations.
+
+Every op is one tape node. Besides the elementwise, reduction, shape and
+matmul primitives, the network's layers are single nodes with closed-form
+backward rules (g is the gradient of the output):
+
+  * tmean:      dx = broadcast(g) / count
+  * softmax:    P = softmax(x); dx = P * (g - rowsum(g * P))
+  * gelu:       y = x/2 * (1 + t), t = tanh(c * (x + 0.044715 x^3)),
+                c = sqrt(2/pi); dx = g * (0.5 (1 + t)
+                + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+  * layer_norm: y = (x - mean) / sqrt(var + eps), out = y * gain + bias;
+                gy = g * gain, dx = (gy - mean(gy) - y * mean(gy * y))
+                / sqrt(var + eps), dgain = sum(g * y), dbias = sum(g)
+  * attention:  P = softmax(Q K^T / sqrt(d)), out = P V; dV = P^T g,
+                dS = P * (g V^T - rowsum(g V^T * P)) / sqrt(d),
+                dQ = dS K, dK = dS^T Q; only P is kept for the backward
+  * linear:     out = x @ w + b over the last axis of x; dx = g w^T,
+                dw = x^T g and db = sum(g) over every leading axis of x
+
+An op builds and records its backward closure only while a tape is open
+(`if _TAPE_STACK:`), so untaped inference allocates no closures and keeps
+no intermediates alive.
 
 Tensors are immutable values (the wrapped numpy buffer is marked read-only)
 and safe to share; a Tape is single-owner and must not be shared across
@@ -224,75 +246,85 @@ def grad(tape: Tape, output: Tensor, inputs: Sequence[Tensor]) -> list[Tensor]:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor._wrap(a.data + b.data)
-    _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (
-        _unbroadcast(g, sa), _unbroadcast(g, sb)))
+    if _TAPE_STACK:
+        _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (
+            _unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor._wrap(a.data - b.data)
-    _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (
-        _unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    if _TAPE_STACK:
+        _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (
+            _unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor._wrap(a.data * b.data)
-    _record(out, (a, b), lambda g, ad=a.data, bd=b.data: (
-        _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
+    if _TAPE_STACK:
+        _record(out, (a, b), lambda g, ad=a.data, bd=b.data: (
+            _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor._wrap(a.data / b.data)
-    _record(out, (a, b), lambda g, ad=a.data, bd=b.data: (
-        _unbroadcast(g / bd, ad.shape),
-        _unbroadcast(-g * ad / (bd * bd), bd.shape)))
+    if _TAPE_STACK:
+        _record(out, (a, b), lambda g, ad=a.data, bd=b.data: (
+            _unbroadcast(g / bd, ad.shape),
+            _unbroadcast(-g * ad / (bd * bd), bd.shape)))
     return out
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(-a.data)
-    _record(out, (a,), lambda g: (-g,))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g: (-g,))
     return out
 
 
 def texp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.exp(a.data))
-    _record(out, (a,), lambda g, od=out.data: (g * od,))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, od=out.data: (g * od,))
     return out
 
 
 def tlog(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.log(a.data))
-    _record(out, (a,), lambda g, ad=a.data: (g / ad,))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, ad=a.data: (g / ad,))
     return out
 
 
 def tsqrt(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.sqrt(a.data))
-    _record(out, (a,), lambda g, od=out.data: (g * 0.5 / od,))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, od=out.data: (g * 0.5 / od,))
     return out
 
 
 def tabs(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.abs(a.data))
-    _record(out, (a,), lambda g, ad=a.data: (g * np.sign(ad),))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, ad=a.data: (g * np.sign(ad),))
     return out
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.tanh(a.data))
-    _record(out, (a,), lambda g, od=out.data: (g * (1.0 - od * od),))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, od=out.data: (g * (1.0 - od * od),))
     return out
 
 
@@ -309,42 +341,46 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(_sigmoid(np.asarray(a.data)))
-    _record(out, (a,), lambda g, od=out.data: (g * od * (1.0 - od),))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, od=out.data: (g * od * (1.0 - od),))
     return out
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.logaddexp(0.0, a.data))
-    _record(out, (a,), lambda g, ad=a.data: (g * _sigmoid(np.asarray(ad)),))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, ad=a.data: (g * _sigmoid(np.asarray(ad)),))
     return out
+
+
+def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a reduction back to the input shape."""
+    if axis is not None and not keepdims:
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        g = np.expand_dims(g, tuple(i % len(shape) for i in ax))
+    return np.broadcast_to(g, shape)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.sum(a.data, axis=axis, keepdims=keepdims))
-
-    def backward(g, shape=a.shape, axis=axis, keepdims=keepdims):
-        if axis is not None and not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            ax = tuple(i % len(shape) for i in ax)
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape),)
-
-    _record(out, (a,), backward)
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, s=a.shape, ax=axis, kd=keepdims: (
+            _expand_reduced(g, s, ax, kd),))
     return out
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for i in ax:
-            count *= a.shape[i]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(count))
+    axes = range(a.ndim) if axis is None else (
+        axis if isinstance(axis, tuple) else (axis,))
+    count = float(math.prod(a.shape[i] for i in axes))
+    out = Tensor._wrap(np.sum(a.data, axis=axis, keepdims=keepdims) / count)
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, s=a.shape, ax=axis, kd=keepdims: (
+            _expand_reduced(g / count, s, ax, kd),))
+    return out
 
 
 # shape manipulation ---------------------------------------------------------
@@ -353,41 +389,39 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(a.data.reshape(shape))
-    _record(out, (a,), lambda g, s=a.shape: (g.reshape(s),))
+    if _TAPE_STACK:
+        _record(out, (a,), lambda g, s=a.shape: (g.reshape(s),))
     return out
 
 
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.transpose(a.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-    _record(out, (a,), lambda g, inv=inv: (np.transpose(g, inv),))
+    if _TAPE_STACK:
+        inv = None if axes is None else tuple(np.argsort(axes))
+        _record(out, (a,), lambda g: (np.transpose(g, inv),))
     return out
 
 
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(a.data[idx].copy())
+    if _TAPE_STACK:
+        def backward(g, shape=a.shape, idx=idx):
+            full = np.zeros(shape)
+            full[idx] = g
+            return (full,)
 
-    def backward(g, shape=a.shape, idx=idx):
-        full = np.zeros(shape)
-        full[idx] = g
-        return (full,)
-
-    _record(out, (a,), backward)
+        _record(out, (a,), backward)
     return out
 
 
 def concat(parts: Iterable, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-    _record(out, tuple(parts), lambda g, splits=tuple(splits), axis=axis: tuple(
-        np.split(g, splits, axis=axis)))
+    if _TAPE_STACK:
+        splits = tuple(np.cumsum([p.shape[axis] for p in parts])[:-1])
+        _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
     return out
 
 
@@ -400,44 +434,90 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim == 0 or b.ndim == 0:
         raise ValueError("matmul requires rank >= 1 operands")
-    a1, b1 = a.ndim == 1, b.ndim == 1
     out = Tensor._wrap(np.matmul(a.data, b.data))
+    if _TAPE_STACK:
+        def backward(g, ad=a.data, bd=b.data):
+            a1, b1 = ad.ndim == 1, bd.ndim == 1
+            ad2 = ad[None, :] if a1 else ad
+            bd2 = bd[:, None] if b1 else bd
+            g2 = g
+            if b1:
+                g2 = np.expand_dims(g2, -1)
+            if a1:
+                g2 = np.expand_dims(g2, -2)
+            ga = _unbroadcast(np.matmul(g2, np.swapaxes(bd2, -1, -2)), ad2.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad2, -1, -2), g2), bd2.shape)
+            return (ga.reshape(ad.shape) if a1 else ga,
+                    gb.reshape(bd.shape) if b1 else gb)
 
-    def backward(g, ad=a.data, bd=b.data, a1=a1, b1=b1):
-        ad2 = ad[None, :] if a1 else ad
-        bd2 = bd[:, None] if b1 else bd
-        g2 = g
-        if b1:
-            g2 = np.expand_dims(g2, -1)
-        if a1:
-            g2 = np.expand_dims(g2, -2)
-        ga = _unbroadcast(np.matmul(g2, np.swapaxes(bd2, -1, -2)), ad2.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad2, -1, -2), g2), bd2.shape)
-        return (ga.reshape(ad.shape) if a1 else ga,
-                gb.reshape(bd.shape) if b1 else gb)
-
-    _record(out, (a, b), backward)
+        _record(out, (a, b), backward)
     return out
 
 
-# composites -----------------------------------------------------------------
+# network layers: one node each ------------------------------------------------
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b over the last axis: x [..., n] (or [n]), w [n, m], b [m].
+
+    All leading axes of x are folded into one matrix product, so the
+    forward and both weight gradients are single GEMMs.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (w.ndim != 2 or b.shape != (w.shape[1],) or x.ndim < 1
+            or x.shape[-1] != w.shape[0]):
+        raise ValueError(f"linear expects x [..., n], w [n, m], b [m]; got "
+                         f"{x.shape}, {w.shape}, {b.shape}")
+    n, m = w.shape
+    y = x.data.reshape(-1, n) @ w.data
+    y += b.data
+    out = Tensor._wrap(y.reshape(x.shape[:-1] + (m,)))
+    if _TAPE_STACK:
+        def backward(g, xd=x.data, wd=w.data):
+            g2 = g.reshape(-1, m)
+            return ((g2 @ wd.T).reshape(xd.shape),
+                    xd.reshape(-1, n).T @ g2,
+                    g2.sum(axis=0))
+
+        _record(out, (x, w, b), backward)
+    return out
+
+
+def _softmax_rows(s: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(s - np.max(s, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    return p * (g - np.sum(g * p, axis=axis, keepdims=True))
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Row-stable softmax; the subtracted max is treated as a constant."""
+    """Row-stable softmax along `axis`."""
     x = as_tensor(x)
-    m = np.max(x.data, axis=axis, keepdims=True)
-    e = texp(sub(x, m))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    out = Tensor._wrap(_softmax_rows(x.data, axis))
+    if _TAPE_STACK:
+        _record(out, (x,), lambda g, p=out.data: (_softmax_backward(g, p, axis),))
+    return out
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 def gelu(x) -> Tensor:
     """tanh-approximation GELU (smooth everywhere, gradient-check friendly)."""
     x = as_tensor(x)
-    c = math.sqrt(2.0 / math.pi)
-    inner = mul(mul(x, mul(x, x)), 0.044715)
-    t = tanh(mul(add(x, inner), c))
-    return mul(mul(x, 0.5), add(t, 1.0))
+    xd = x.data
+    t = np.tanh((xd + xd * (xd * xd) * _GELU_A) * _GELU_C)
+    out = Tensor._wrap(xd * 0.5 * (t + 1.0))
+    if _TAPE_STACK:
+        def backward(g):
+            dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+            return (g * (0.5 * (1.0 + t) + 0.5 * xd * dt),)
+
+        _record(out, (x,), backward)
+    return out
 
 
 def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -447,11 +527,20 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    y = div(xc, tsqrt(add(var, eps)))
-    return add(mul(y, gain), bias)
+    xc = x.data - np.sum(x.data, axis=-1, keepdims=True) / d
+    std = np.sqrt(np.sum(xc * xc, axis=-1, keepdims=True) / d + eps)
+    y = xc / std
+    out = Tensor._wrap(y * gain.data + bias.data)
+    if _TAPE_STACK:
+        def backward(g, gd=gain.data):
+            gy = g * gd
+            dx = (gy - np.sum(gy, axis=-1, keepdims=True) / d
+                  - y * (np.sum(gy * y, axis=-1, keepdims=True) / d)) / std
+            return (dx, (g * y).reshape(-1, d).sum(axis=0),
+                    g.reshape(-1, d).sum(axis=0))
+
+        _record(out, (x, gain, bias), backward)
+    return out
 
 
 def attention(q, k, v) -> Tensor:
@@ -461,6 +550,8 @@ def attention(q, k, v) -> Tensor:
     row sums to 1, so each output row is a convex combination of V rows.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ValueError("attention operands must be [..., n, d]")
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
@@ -468,11 +559,16 @@ def attention(q, k, v) -> Tensor:
     d = q.shape[-1]
     if d <= 0:
         raise ValueError("feature dimension must be positive")
-    scores = div(matmul(q, transpose(k, _swap_last(k.ndim))), math.sqrt(d))
-    return matmul(softmax(scores, axis=-1), v)
+    scale = math.sqrt(d)
+    p = _softmax_rows(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) / scale, -1)
+    out = Tensor._wrap(np.matmul(p, v.data))
+    if _TAPE_STACK:
+        def backward(g, qd=q.data, kd=k.data, vd=v.data):
+            ds = _softmax_backward(np.matmul(g, np.swapaxes(vd, -1, -2)), p, -1)
+            ds /= scale
+            return (_unbroadcast(np.matmul(ds, kd), qd.shape),
+                    _unbroadcast(np.matmul(np.swapaxes(ds, -1, -2), qd), kd.shape),
+                    _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), vd.shape))
 
-
-def _swap_last(ndim: int) -> tuple:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+        _record(out, (q, k, v), backward)
+    return out

@@ -7,6 +7,7 @@ exactly the batches an uninterrupted run would have drawn from step t on.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +26,8 @@ LOG_NAME = "train_log.txt"
 
 
 class NumericalAbort(RuntimeError):
-    """Raised on the first non-finite loss term, naming term and step."""
+    """Raised on the first non-finite loss term or parameter gradient,
+    naming it and the step."""
 
 
 @dataclass
@@ -93,6 +95,16 @@ def _check_finite(step: int, total, breakdown: dict, depth_term) -> None:
         raise NumericalAbort(f"step {step}: loss term 'depth' is non-finite")
     if not np.isfinite(float(total.data)):
         raise NumericalAbort(f"step {step}: total loss is non-finite")
+
+
+def _check_finite_grads(step: int, names, grads) -> None:
+    """Abort before the update on the first non-finite gradient, by name."""
+    for name, g in zip(names, grads):
+        # a sum is cheaper than an elementwise test and is finite unless an
+        # entry is inf/NaN or the entries overflow (the exact test clears that)
+        if not math.isfinite(g.data.sum()) and not np.isfinite(g.data).all():
+            raise NumericalAbort(
+                f"step {step}: gradient of parameter '{name}' is non-finite")
 
 
 def run_training(cfg: RunConfig, resume: str | None = None,
@@ -182,6 +194,7 @@ def run_training(cfg: RunConfig, resume: str | None = None,
                 total = total * (1.0 / len(scene_ids))
 
         grads = grad(tape, total, [params[n] for n in param_names])
+        _check_finite_grads(step, param_names, grads)
 
         lr = cfg.step_size / (1.0 + cfg.decay * step)
         for n, g in zip(param_names, grads):

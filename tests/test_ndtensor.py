@@ -457,3 +457,155 @@ class TestWholeBlockGradient:
             return (g * g).mean()
 
         check_grad(block, ref, x, tol=1e-4)
+
+
+# the composite formulas the fused ops replaced, built from primitive ops:
+# oracles for the fused values and closed-form gradients
+
+
+def composite_tmean(x, axis=None):
+    count = x.size if axis is None else x.shape[axis]
+    return nd.div(nd.tsum(x, axis=axis), float(count))
+
+
+def composite_softmax(x, axis=-1):
+    m = np.max(x.data, axis=axis, keepdims=True)
+    e = nd.texp(nd.sub(x, m))
+    return nd.div(e, nd.tsum(e, axis=axis, keepdims=True))
+
+
+def composite_gelu(x):
+    c = math.sqrt(2.0 / math.pi)
+    inner = nd.mul(nd.mul(x, nd.mul(x, x)), 0.044715)
+    t = nd.tanh(nd.mul(nd.add(x, inner), c))
+    return nd.mul(nd.mul(x, 0.5), nd.add(t, 1.0))
+
+
+def composite_layer_norm(x, gain, bias, eps=nd.LAYER_NORM_EPS):
+    mu = composite_tmean(x, axis=-1).reshape(x.shape[:-1] + (1,))
+    xc = nd.sub(x, mu)
+    var = composite_tmean(nd.mul(xc, xc), axis=-1).reshape(x.shape[:-1] + (1,))
+    y = nd.div(xc, nd.tsqrt(nd.add(var, eps)))
+    return nd.add(nd.mul(y, gain), bias)
+
+
+def composite_attention(q, k, v):
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = nd.div(nd.matmul(q, nd.transpose(k, axes)), math.sqrt(q.shape[-1]))
+    return nd.matmul(composite_softmax(scores, axis=-1), v)
+
+
+def composite_linear(x, w, b):
+    return nd.add(nd.matmul(x, w), b)
+
+
+def _fused_cases():
+    rng = np.random.default_rng(5)
+
+    def r(*shape, scale=1.0):
+        return rng.standard_normal(shape) * scale
+
+    return [
+        ("tmean", lambda x: nd.tmean(x, axis=1),
+         lambda x: composite_tmean(x, axis=1), [r(3, 4, 5)]),
+        ("tmean_all", nd.tmean, composite_tmean, [r(3, 4)]),
+        ("softmax", nd.softmax, composite_softmax, [r(2, 3, 7, scale=4.0)]),
+        ("softmax_axis0", lambda x: nd.softmax(x, axis=0),
+         lambda x: composite_softmax(x, axis=0), [r(5, 3, scale=4.0)]),
+        ("gelu", nd.gelu, composite_gelu, [r(4, 6, scale=2.0)]),
+        ("layer_norm", nd.layer_norm, composite_layer_norm,
+         [r(2, 5, 8), r(8), r(8)]),
+        ("attention", nd.attention, composite_attention,
+         [r(2, 3, 6, 4), r(2, 3, 9, 4), r(2, 3, 9, 5)]),
+        ("linear", lambda *a: nd.linear(*a), composite_linear,
+         [r(2, 5, 4), r(4, 3), r(3)]),
+        ("linear_1d", lambda *a: nd.linear(*a), composite_linear,
+         [r(4), r(4, 3), r(3)]),
+    ]
+
+
+FUSED_CASES = _fused_cases()
+
+
+def _value_and_grads(op, arrays, cotangent_seed=9):
+    ts = [Tensor(a) for a in arrays]
+    with Tape() as tape:
+        tape.watch(*ts)
+        out = op(*ts)
+        cot = np.random.default_rng(cotangent_seed).standard_normal(out.shape)
+        loss = (out * Tensor(cot)).sum()
+    return out.data, [g.data for g in grad(tape, loss, ts)]
+
+
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("name,fused,composite,arrays", FUSED_CASES,
+                             ids=[c[0] for c in FUSED_CASES])
+    def test_matches_composite(self, name, fused, composite, arrays):
+        val, grads = _value_and_grads(fused, arrays)
+        ref_val, ref_grads = _value_and_grads(composite, arrays)
+        np.testing.assert_allclose(val, ref_val, rtol=1e-12, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name,fused,composite,arrays", FUSED_CASES,
+                             ids=[c[0] for c in FUSED_CASES])
+    def test_one_node_per_call(self, name, fused, composite, arrays):
+        with Tape() as tape:
+            fused(*[Tensor(a) for a in arrays])
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("x_shape", [(4,), (2, 3, 4)],
+                             ids=["1d", "batched"])
+    def test_linear_grads(self, x_shape):
+        # 1-D as the heads apply it to a pooled vector, batched as in blocks
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal(x_shape)
+        w, b = rng.standard_normal((4, 5)), rng.standard_normal(5)
+
+        def sq(out):
+            return (out * out).sum()
+
+        check_grad(lambda t: sq(nd.linear(t, Tensor(w), Tensor(b))),
+                   lambda a: ((a @ w + b) ** 2).sum(), x)
+        check_grad(lambda t: sq(nd.linear(Tensor(x), t, Tensor(b))),
+                   lambda a: ((x @ a + b) ** 2).sum(), w)
+        check_grad(lambda t: sq(nd.linear(Tensor(x), Tensor(w), t)),
+                   lambda a: ((x @ w + a) ** 2).sum(), b)
+
+    def test_linear_shape_validation(self):
+        with pytest.raises(ValueError):
+            nd.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))),
+                      Tensor(np.zeros(5)))
+        with pytest.raises(ValueError):
+            nd.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
+                      Tensor(np.zeros(4)))
+
+
+def test_no_tape_records_nothing(monkeypatch):
+    """Without an open tape no op builds or records a backward closure."""
+    from idt import model
+
+    def refuse(*args):
+        raise AssertionError("an op recorded a node with no tape open")
+
+    monkeypatch.setattr(nd, "_record", refuse)
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.random((3, 4)) + 0.5)
+    w = Tensor(rng.standard_normal((4, 4)))
+    for op in (nd.neg, nd.texp, nd.tlog, nd.tsqrt, nd.tabs, nd.tanh,
+               nd.sigmoid, nd.softplus, nd.gelu, nd.softmax, nd.tsum,
+               nd.tmean, nd.transpose):
+        op(x)
+    for op in (nd.add, nd.sub, nd.mul, nd.div):
+        op(x, x)
+    nd.matmul(x, w)
+    nd.reshape(x, (12,))
+    nd.getitem(x, (slice(1, 2),))
+    nd.concat([x, x], axis=0)
+    nd.layer_norm(x, w[0], w[1])
+    nd.attention(x, w, w)
+    nd.linear(x, w, w[0])
+    cfg = model.ModelConfig(patch_size=8, embed_dim=16, block_pairs=1, heads=2,
+                            register_count=2)
+    model.decompose(rng.random((2, 16, 16, 3)), cfg, model.init_params(cfg, 0))

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from idt import losses, train
 from idt.checkpoint import load_checkpoint, save_checkpoint
 from idt.config import RunConfig
 from idt.losses import LossConfig
 from idt.model import ModelConfig, init_params
-from idt.ndtensor import Tensor
+from idt.ndtensor import Tape, Tensor
+from idt.scenes import DatasetConfig, load_scene, make_dataset
 from idt.train import NumericalAbort, run_training
 
 MICRO = ModelConfig(patch_size=8, embed_dim=16, block_pairs=1, heads=2,
@@ -110,6 +114,39 @@ class TestEdges:
             with pytest.raises(NumericalAbort, match="depth"):
                 run_training(cfg, resume=str(ck))
 
+    def test_nonfinite_gradient_aborts_before_update(self, tiny_dataset,
+                                                     tmp_path, monkeypatch):
+        # an inf gradient under a finite loss: the step aborts naming the
+        # first poisoned parameter and leaves the parameters as they were
+        real_grad = train.grad
+        names = sorted(init_params(MICRO, 0))
+        poisoned = ("tokens/camera", "head/alb/dec_w")
+        calls = itertools.count()
+
+        def grad_with_inf(tape, output, inputs):
+            grads = real_grad(tape, output, inputs)
+            if next(calls) == 1:
+                for name in poisoned:
+                    i = names.index(name)
+                    g = grads[i].data.copy()
+                    g.flat[0] = np.inf
+                    grads[i] = Tensor(g)
+            return grads
+
+        monkeypatch.setattr(train, "grad", grad_with_inf)
+        out = tmp_path / "run"
+        with pytest.raises(NumericalAbort,
+                           match="step 1: gradient of parameter "
+                                 "'head/alb/dec_w' is non-finite"):
+            run_training(run_cfg(tiny_dataset, out, steps=3,
+                                 checkpoint_every=1))
+        monkeypatch.undo()
+        one = run_training(run_cfg(tiny_dataset, tmp_path / "one", steps=1))
+        params, _, step, _ = load_checkpoint(out / "checkpoint.bin")
+        assert step == 1
+        for k in names:
+            np.testing.assert_array_equal(params[k].data, one.params[k].data)
+
     def test_divergence_aborts_not_raises(self, tiny_dataset, tmp_path):
         # a huge step size must end in a classified numerical abort, never
         # in a loss precondition error
@@ -159,3 +196,18 @@ class TestEdges:
         run_training(run_cfg(tiny_dataset, out, steps=5,
                              checkpoint_every=2))
         assert load_checkpoint(out / "checkpoint.bin")[2] == 5
+
+
+def test_scene_loss_tape_size(tmp_path):
+    """One default-model scene (V=4, 64x64) stays a short tape: each layer
+    (layer norm, attention, GELU, linear, mean) is one node."""
+    make_dataset(DatasetConfig(scenes=1, views=4, height=64, width=64,
+                               seed=1), tmp_path / "data")
+    batch = load_scene(tmp_path / "data", 0)
+    cfg = RunConfig(dataset=str(tmp_path / "data"), out_dir=str(tmp_path))
+    params = init_params(cfg.model, 0)
+    with Tape() as tape:
+        tape.watch(*params.values())
+        train.scene_loss(batch.images(), losses.stack_ground_truth(batch),
+                         cfg, params)
+    assert len(tape) <= 500
