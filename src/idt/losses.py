@@ -98,17 +98,11 @@ def _illum_vec_loss(pred_vec: Tensor, gt_vec: np.ndarray, k: int) -> Tensor:
     squared differences; contributions are summed, so a single 90-degree
     axis rotation contributes exactly 1.
     """
-    total = None
-    for i in range(k):
-        base = 7 * i
-        axis_p = pred_vec[base:base + 3]
-        axis_g = gt_vec[base:base + 3]
-        term = 1.0 - (axis_p * Tensor(axis_g)).sum()
-        rest = pred_vec[base + 3:base + 7] - Tensor(gt_vec[base + 3:base + 7])
-        term = term + (rest * rest).sum()
-        total = term if total is None else total + term
-    amb = pred_vec[7 * k:] - Tensor(gt_vec[7 * k:])
-    return total + (amb * amb).sum()
+    axis_mask = np.zeros(7 * k + 3)
+    axis_mask[:7 * k].reshape(k, 7)[:, :3] = 1.0
+    diff = pred_vec - Tensor(gt_vec)
+    return ((k - (pred_vec * Tensor(gt_vec * axis_mask)).sum())
+            + (diff * diff * Tensor(1.0 - axis_mask)).sum())
 
 
 def loss_illum_packed(pred_vec: Tensor, gt: sglight.SGMixture) -> Tensor:

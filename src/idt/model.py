@@ -26,7 +26,7 @@ Range contracts hold for arbitrary finite parameters: albedo in [0,1]
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class TokenSet:
     """Encoder output: [V, 1 + R + Np, d] tokens plus the patch grid shape.
 
     Per-view layout along axis 1: camera token, R register tokens, then
-    the gh*gw patch tokens in row-major grid order.
+    the gh*gw patch tokens in row-major grid order. The token sets the
+    adapters and heads read are built once per instance and shared.
     """
 
     tokens: Tensor
@@ -92,17 +93,21 @@ class TokenSet:
     def v(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def camera_tokens(self) -> Tensor:
-        return self.tokens[:, 0:1]
-
-    @property
-    def register_tokens(self) -> Tensor:
-        return self.tokens[:, 1:1 + self.register_count]
-
-    @property
+    @cached_property
     def patch_tokens(self) -> Tensor:
+        """[V, gh*gw, d]: the patch tokens of every view."""
         return self.tokens[:, 1 + self.register_count:]
+
+    @cached_property
+    def scene_query(self) -> Tensor:
+        """[1, 1 + R, d]: the view-mean of the camera and register tokens."""
+        return self.tokens[:, :1 + self.register_count].mean(axis=0, keepdims=True)
+
+    @cached_property
+    def flat_patches(self) -> Tensor:
+        """[1, V*gh*gw, d]: every patch token of every view as one set."""
+        v, n, d = self.patch_tokens.shape
+        return self.patch_tokens.reshape((1, v * n, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +119,8 @@ class AdaptedContext:
         if self.factor not in FACTORS:
             raise ValueError(f"unknown factor {self.factor!r}")
         if not np.isfinite(self.context.data).all():
-            raise NonFiniteError("adapter context must be finite")
+            raise NonFiniteError(
+                f"adapter context for {self.factor!r} is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,18 +272,10 @@ def patchify(images: np.ndarray, config: ModelConfig, params: dict) -> Tensor:
 def _mha(x_q: Tensor, x_kv: Tensor, params: dict, prefix: str,
          heads: int) -> Tensor:
     """Multi-head attention on [B, Nq, d] queries / [B, Nk, d] keys-values."""
-    b, nq, d = x_q.shape
-    nk = x_kv.shape[1]
-    dh = d // heads
-
-    def split(t, n):
-        return t.reshape((b, n, heads, dh)).transpose((0, 2, 1, 3))
-
-    q = split(nd.linear(x_q, params[f"{prefix}/wq"], params[f"{prefix}/bq"]), nq)
-    k = split(nd.linear(x_kv, params[f"{prefix}/wk"], params[f"{prefix}/bk"]), nk)
-    v = split(nd.linear(x_kv, params[f"{prefix}/wv"], params[f"{prefix}/bv"]), nk)
-    out = nd.attention(q, k, v)  # [b, heads, nq, dh]
-    out = out.transpose((0, 2, 1, 3)).reshape((b, nq, d))
+    q = nd.linear(x_q, params[f"{prefix}/wq"], params[f"{prefix}/bq"])
+    k = nd.linear(x_kv, params[f"{prefix}/wk"], params[f"{prefix}/bk"])
+    v = nd.linear(x_kv, params[f"{prefix}/wv"], params[f"{prefix}/bv"])
+    out = nd.attention(q, k, v, heads)
     return nd.linear(out, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
 
@@ -321,7 +319,7 @@ def encode(images, config: ModelConfig, params: dict) -> TokenSet:
 
 
 def adapt(tokens: TokenSet, factor: str, params: dict,
-          heads: int = 4) -> AdaptedContext:
+          heads: int) -> AdaptedContext:
     """Factor-specific cross-attention context from shared tokens.
 
     Queries are the view-mean of [camera; register] tokens (pooled scene
@@ -330,18 +328,14 @@ def adapt(tokens: TokenSet, factor: str, params: dict,
     if factor not in FACTORS:
         raise ValueError(f"unknown factor {factor!r}")
     prefix = f"adapt/{factor}"
-    d = tokens.tokens.shape[2]
-    scene = nd.concat([tokens.camera_tokens, tokens.register_tokens], axis=1)
-    q = scene.mean(axis=0).reshape((1, 1 + tokens.register_count, d))
-    v_, np_ = tokens.patch_tokens.shape[0], tokens.patch_tokens.shape[1]
-    kv = tokens.patch_tokens.reshape((1, v_ * np_, d))
-
+    q = tokens.scene_query
     qn = nd.layer_norm(q, params[f"{prefix}/lnq/gain"], params[f"{prefix}/lnq/bias"])
-    kvn = nd.layer_norm(kv, params[f"{prefix}/lnkv/gain"], params[f"{prefix}/lnkv/bias"])
+    kvn = nd.layer_norm(tokens.flat_patches, params[f"{prefix}/lnkv/gain"],
+                        params[f"{prefix}/lnkv/bias"])
     x = q + _mha(qn, kvn, params, prefix, heads)
     h = nd.layer_norm(x, params[f"{prefix}/ln2/gain"], params[f"{prefix}/ln2/bias"])
     x = x + _mlp(h, params, prefix)
-    return AdaptedContext(factor, x.reshape((1 + tokens.register_count, d)))
+    return AdaptedContext(factor, x.reshape(q.shape[1:]))
 
 
 # heads -------------------------------------------------------------------------
@@ -366,21 +360,14 @@ def illumination_conditioning(raw: Tensor, k: int) -> Tensor:
     are reordered into canonical order; sharpness/amplitude/ambient slots
     stay in the softplus preimage.
     """
-    vec = raw.data
-    keys = []
-    for i in range(k):
-        amp = np.logaddexp(0.0, vec[7 * i + 4:7 * i + 7])
-        keys.append((-(amp @ sglight.LUMA_WEIGHTS),
-                     -np.logaddexp(0.0, vec[7 * i + 3])))
-    order = sorted(range(k), key=lambda i: keys[i])
-    parts = []
-    for i in order:
-        axis = raw[7 * i:7 * i + 3]
-        norm = nd.tsqrt((axis * axis).sum() + 1e-24)
-        parts.append(axis / norm)
-        parts.append(raw[7 * i + 3:7 * i + 7])
-    parts.append(raw[7 * k:])
-    return nd.concat(parts, axis=0)
+    block = raw.data[:7 * k].reshape(k, 7)
+    luma = np.logaddexp(0.0, block[:, 4:7]) @ sglight.LUMA_WEIGHTS
+    order = np.lexsort((-np.logaddexp(0.0, block[:, 3]), -luma))
+    lobes = raw[7 * order[:, None] + np.arange(7)]  # [k, 7], canonical order
+    axis = lobes[:, :3]
+    norm = nd.tsqrt((axis * axis).sum(axis=1, keepdims=True) + 1e-24)
+    lobes = nd.concat([axis / norm, lobes[:, 3:]], axis=1)
+    return nd.concat([lobes.reshape((7 * k,)), raw[7 * k:]], axis=0)
 
 
 def _illum_raw(ctx: AdaptedContext, params: dict) -> Tensor:

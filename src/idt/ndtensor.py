@@ -10,16 +10,17 @@ matmul primitives, the network's layers are single nodes with closed-form
 backward rules (g is the gradient of the output):
 
   * tmean:      dx = broadcast(g) / count
-  * softmax:    P = softmax(x); dx = P * (g - rowsum(g * P))
   * gelu:       y = x/2 * (1 + t), t = tanh(c * (x + 0.044715 x^3)),
                 c = sqrt(2/pi); dx = g * (0.5 (1 + t)
                 + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
   * layer_norm: y = (x - mean) / sqrt(var + eps), out = y * gain + bias;
                 gy = g * gain, dx = (gy - mean(gy) - y * mean(gy * y))
                 / sqrt(var + eps), dgain = sum(g * y), dbias = sum(g)
-  * attention:  P = softmax(Q K^T / sqrt(d)), out = P V; dV = P^T g,
-                dS = P * (g V^T - rowsum(g V^T * P)) / sqrt(d),
-                dQ = dS K, dK = dS^T Q; only P is kept for the backward
+  * attention:  per head (feature axes split into h slices, outputs and
+                gradients concatenated back) P = softmax(Q K^T / sqrt(d)),
+                out = P V; dV = P^T g, dQ = dS K, dK = dS^T Q with
+                dS = P * (g V^T - rowsum(g V^T * P)) / sqrt(d); only P is
+                kept for the backward
   * linear:     out = x @ w + b over the last axis of x; dx = g w^T,
                 dw = x^T g and db = sum(g) over every leading axis of x
 
@@ -483,24 +484,6 @@ def linear(x, w, b) -> Tensor:
     return out
 
 
-def _softmax_rows(s: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(s - np.max(s, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def _softmax_backward(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
-    return p * (g - np.sum(g * p, axis=axis, keepdims=True))
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Row-stable softmax along `axis`."""
-    x = as_tensor(x)
-    out = Tensor._wrap(_softmax_rows(x.data, axis))
-    if _TAPE_STACK:
-        _record(out, (x,), lambda g, p=out.data: (_softmax_backward(g, p, axis),))
-    return out
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -543,11 +526,35 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
     return out
 
 
-def attention(q, k, v) -> Tensor:
-    """softmax(Q·Kᵀ/√d)·V with stable softmax.
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
-    Q: [..., n_q, d], K: [..., n_k, d], V: [..., n_k, d_v]; every attention
-    row sums to 1, so each output row is a convex combination of V rows.
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[..., n, h*d] -> [..., h, n, d], contiguous."""
+    x = x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return np.ascontiguousarray(np.swapaxes(x, -2, -3))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """[..., h, n, d] -> [..., n, h*d]."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def attention(q, k, v, heads: int = 1) -> Tensor:
+    """Multi-head softmax(Q·Kᵀ/√d)·V with stable softmax.
+
+    Q: [..., n_q, h·d], K: [..., n_k, h·d], V: [..., n_k, h·d_v]. The
+    feature axis is split into `heads` slices, each head attends on its
+    own slice, and the head outputs are concatenated in head order to
+    [..., n_q, h·d_v]. Every attention row sums to 1, so each output row
+    of a head is a convex combination of that head's V rows.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.ndim, k.ndim, v.ndim) < 2:
@@ -556,19 +563,23 @@ def attention(q, k, v) -> Tensor:
         raise ValueError(f"Q/K feature dims differ: {q.shape[-1]} vs {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"K/V row counts differ: {k.shape[-2]} vs {v.shape[-2]}")
-    d = q.shape[-1]
-    if d <= 0:
-        raise ValueError("feature dimension must be positive")
-    scale = math.sqrt(d)
-    p = _softmax_rows(np.matmul(q.data, np.swapaxes(k.data, -1, -2)) / scale, -1)
-    out = Tensor._wrap(np.matmul(p, v.data))
+    if heads < 1 or q.shape[-1] < heads or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ValueError(f"{heads} heads must divide the positive feature dims "
+                         f"{q.shape[-1]} and {v.shape[-1]}")
+    scale = math.sqrt(q.shape[-1] // heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    p = _softmax_rows(np.matmul(qh, np.swapaxes(kh, -1, -2)) / scale)
+    out = Tensor._wrap(_merge_heads(np.matmul(p, vh)))
     if _TAPE_STACK:
-        def backward(g, qd=q.data, kd=k.data, vd=v.data):
-            ds = _softmax_backward(np.matmul(g, np.swapaxes(vd, -1, -2)), p, -1)
+        def backward(g):
+            gh = _split_heads(g, heads)
+            ds = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p)
             ds /= scale
-            return (_unbroadcast(np.matmul(ds, kd), qd.shape),
-                    _unbroadcast(np.matmul(np.swapaxes(ds, -1, -2), qd), kd.shape),
-                    _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), vd.shape))
+            return (_unbroadcast(_merge_heads(np.matmul(ds, kh)), q.shape),
+                    _unbroadcast(_merge_heads(
+                        np.matmul(np.swapaxes(ds, -1, -2), qh)), k.shape),
+                    _unbroadcast(_merge_heads(
+                        np.matmul(np.swapaxes(p, -1, -2), gh)), v.shape))
 
         _record(out, (q, k, v), backward)
     return out

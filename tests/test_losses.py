@@ -243,6 +243,19 @@ class TestIllumLoss:
         pred = sglight.SGMixture(rot, (0.05, 0.05, 0.05))
         assert float(loss_illum(pred, gt).data) == 1.0
 
+    def test_matches_per_lobe_sum(self):
+        # the masked vector expression against the per-lobe definition
+        rng = np.random.default_rng(12)
+        gt = random_mixture(rng)
+        pred = model.illumination_conditioning(
+            Tensor(rng.normal(0.0, 1.0, size=7 * 3 + 3)), 3).data
+        g = sglight.pack(gt)
+        expect = sum(1.0 - pred[7 * i:7 * i + 3] @ g[7 * i:7 * i + 3]
+                     + ((pred[7 * i + 3:7 * i + 7] - g[7 * i + 3:7 * i + 7]) ** 2).sum()
+                     for i in range(3)) + ((pred[21:] - g[21:]) ** 2).sum()
+        got = float(loss_illum_packed(Tensor(pred), gt).data)
+        assert abs(got - expect) < 1e-12
+
     def test_lobe_count_mismatch(self):
         a = random_mixture(np.random.default_rng(2), k=2)
         b = random_mixture(np.random.default_rng(3), k=3)

@@ -106,8 +106,16 @@ class TestEncode:
         toks = encode(small_images(0, views=2, res=64), cfg, params)
         assert toks.tokens.shape == (2, 64 + 1 + 4, 64)
         assert toks.patch_tokens.shape == (2, 64, 64)
-        assert toks.camera_tokens.shape == (2, 1, 64)
-        assert toks.register_tokens.shape == (2, 4, 64)
+        assert toks.scene_query.shape == (1, 1 + 4, 64)
+        assert toks.flat_patches.shape == (1, 2 * 64, 64)
+        np.testing.assert_array_equal(
+            toks.scene_query.data[0], toks.tokens.data[:, :5].mean(axis=0))
+        np.testing.assert_array_equal(
+            toks.flat_patches.data[0, 64:], toks.tokens.data[1, 5:])
+        # built once per TokenSet and shared by the adapters and heads
+        assert toks.patch_tokens is toks.patch_tokens
+        assert toks.scene_query is toks.scene_query
+        assert toks.flat_patches is toks.flat_patches
 
     def test_single_view(self):
         params = init_params(SMALL)
@@ -154,6 +162,14 @@ class TestAdapt:
             c1 = adapt(t1, k, params, SMALL.heads).context.data
             c2 = adapt(t2, k, params, SMALL.heads).context.data
             assert np.max(np.abs(c1 - c2)) < 1e-9
+
+    def test_nonfinite_context_names_factor(self):
+        params = init_params(SMALL, seed=5)
+        wo = params["adapt/spec/wo"].data.copy()
+        wo[0, 0] = np.nan
+        params["adapt/spec/wo"] = Tensor(wo)
+        with pytest.raises(model.NonFiniteError, match="'spec'"):
+            forward(small_images(5), SMALL, params)
 
     def test_permutation_invariance(self):
         params = init_params(SMALL, seed=4)

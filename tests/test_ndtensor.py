@@ -271,16 +271,6 @@ class TestOpGradients:
 
         check_grad(lambda t: nd.gelu(t).sum(), ref, x)
 
-    def test_softmax(self):
-        x = self.rng.standard_normal((3, 5))
-
-        def ref(a):
-            e = np.exp(a - a.max(axis=-1, keepdims=True))
-            s = e / e.sum(axis=-1, keepdims=True)
-            return (s * np.arange(5)).sum()
-
-        check_grad(lambda t: (nd.softmax(t) * np.arange(5.0)).sum(), ref, x)
-
     def test_layer_norm(self):
         x = self.rng.standard_normal((4, 6))
         gain = self.rng.standard_normal(6)
@@ -348,19 +338,6 @@ class TestOpGradients:
 
 
 class TestComposites:
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((6, 9)) * 50  # large logits: stability matters
-        s = nd.softmax(Tensor(x)).data
-        np.testing.assert_allclose(s.sum(axis=-1), np.ones(6), atol=1e-12)
-        assert (s >= 0).all()
-
-    def test_softmax_shift_invariance(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        a = nd.softmax(Tensor(x)).data
-        b = nd.softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
     def test_layer_norm_stats(self):
         # variance after normalization is var/(var+eps); with var ~ 1e4 the
         # deviation from 1 is ~1e-9, far inside 1e-6
@@ -402,6 +379,30 @@ class TestComposites:
         np.testing.assert_allclose(out, np.tile(vd.mean(axis=0), (2, 1)),
                                    atol=1e-12)
 
+    def test_attention_large_logits(self):
+        # Q scaled by 50 gives scores in the hundreds: the row softmax
+        # must stay finite and each head's output within the hull of V
+        rng = np.random.default_rng(7)
+        q = Tensor(rng.standard_normal((6, 8)) * 50.0)
+        k = Tensor(rng.standard_normal((9, 8)))
+        vd = rng.standard_normal((9, 6))
+        out = nd.attention(q, k, Tensor(vd), heads=2).data
+        assert np.isfinite(out).all()
+        assert (out <= vd.max(axis=0) + 1e-12).all()
+        assert (out >= vd.min(axis=0) - 1e-12).all()
+
+    def test_attention_key_shift_invariance(self):
+        # adding u to every key shifts each score of a row by q.u, which
+        # the row softmax removes
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((5, 8))
+        k = rng.standard_normal((7, 8))
+        v = Tensor(rng.standard_normal((7, 6)))
+        u = rng.standard_normal(8)
+        a = nd.attention(Tensor(q), Tensor(k), v, heads=2).data
+        b = nd.attention(Tensor(q), Tensor(k + u), v, heads=2).data
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
     def test_attention_shape_validation(self):
         q = Tensor(np.zeros((2, 4)))
         k = Tensor(np.zeros((3, 5)))
@@ -412,6 +413,10 @@ class TestComposites:
         v2 = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError):
             nd.attention(q, k2, v2)
+        # heads must divide d = 4 (3 does not) and d_v (2 does not divide 3)
+        for heads, dv in ((3, 6), (2, 3), (0, 2)):
+            with pytest.raises(ValueError):
+                nd.attention(q, k2, Tensor(np.zeros((3, dv))), heads=heads)
 
     def test_attention_batched(self):
         rng = np.random.default_rng(13)
@@ -495,6 +500,14 @@ def composite_attention(q, k, v):
     return nd.matmul(composite_softmax(scores, axis=-1), v)
 
 
+def composite_multi_head_attention(q, k, v, heads):
+    dq, dv = q.shape[-1] // heads, v.shape[-1] // heads
+    return nd.concat([composite_attention(q[..., h * dq:(h + 1) * dq],
+                                          k[..., h * dq:(h + 1) * dq],
+                                          v[..., h * dv:(h + 1) * dv])
+                      for h in range(heads)], axis=-1)
+
+
 def composite_linear(x, w, b):
     return nd.add(nd.matmul(x, w), b)
 
@@ -509,14 +522,14 @@ def _fused_cases():
         ("tmean", lambda x: nd.tmean(x, axis=1),
          lambda x: composite_tmean(x, axis=1), [r(3, 4, 5)]),
         ("tmean_all", nd.tmean, composite_tmean, [r(3, 4)]),
-        ("softmax", nd.softmax, composite_softmax, [r(2, 3, 7, scale=4.0)]),
-        ("softmax_axis0", lambda x: nd.softmax(x, axis=0),
-         lambda x: composite_softmax(x, axis=0), [r(5, 3, scale=4.0)]),
         ("gelu", nd.gelu, composite_gelu, [r(4, 6, scale=2.0)]),
         ("layer_norm", nd.layer_norm, composite_layer_norm,
          [r(2, 5, 8), r(8), r(8)]),
         ("attention", nd.attention, composite_attention,
          [r(2, 3, 6, 4), r(2, 3, 9, 4), r(2, 3, 9, 5)]),
+        ("attention_heads2", lambda q, k, v: nd.attention(q, k, v, heads=2),
+         lambda q, k, v: composite_multi_head_attention(q, k, v, 2),
+         [r(2, 6, 8), r(2, 9, 8), r(2, 9, 10)]),
         ("linear", lambda *a: nd.linear(*a), composite_linear,
          [r(2, 5, 4), r(4, 3), r(3)]),
         ("linear_1d", lambda *a: nd.linear(*a), composite_linear,
@@ -594,7 +607,7 @@ def test_no_tape_records_nothing(monkeypatch):
     x = Tensor(rng.random((3, 4)) + 0.5)
     w = Tensor(rng.standard_normal((4, 4)))
     for op in (nd.neg, nd.texp, nd.tlog, nd.tsqrt, nd.tabs, nd.tanh,
-               nd.sigmoid, nd.softplus, nd.gelu, nd.softmax, nd.tsum,
+               nd.sigmoid, nd.softplus, nd.gelu, nd.tsum,
                nd.tmean, nd.transpose):
         op(x)
     for op in (nd.add, nd.sub, nd.mul, nd.div):
@@ -605,6 +618,7 @@ def test_no_tape_records_nothing(monkeypatch):
     nd.concat([x, x], axis=0)
     nd.layer_norm(x, w[0], w[1])
     nd.attention(x, w, w)
+    nd.attention(x, w, w, heads=2)
     nd.linear(x, w, w[0])
     cfg = model.ModelConfig(patch_size=8, embed_dim=16, block_pairs=1, heads=2,
                             register_count=2)
