@@ -30,7 +30,7 @@ from .config import ConfigError, load_run_config
 from .ioutil import atomic_write_text
 from .pfm import read_pfm, write_pfm
 from .scenes import load_manifest, load_scene, make_dataset
-from .train import NumericalAbort, run_training
+from .train import run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalAbort, idtmodel.NonFiniteError) as exc:
+    except idtmodel.NumericalAbort as exc:
         print(f"idt: numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except CheckpointError as exc:

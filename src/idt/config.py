@@ -9,7 +9,7 @@ diffs cleanly across experiments.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ioutil import parse_kv_lines
 from .losses import LossConfig
@@ -122,63 +122,41 @@ class RunConfig:
             raise ConfigError(f"dataset directory not found: {self.dataset}")
 
 
-# key -> (section, field, coercion); flat names keep configs greppable
-_MODEL_KEYS = {
-    "patch_size": _to_int, "embed_dim": _to_int, "block_pairs": _to_int,
-    "heads": _to_int, "register_count": _to_int, "sg_lobes": _to_int,
-    "aux_depth": _to_bool,
-}
-_LOSS_KEYS = {
-    "eps": _to_float, "weight_alb": _to_float, "weight_diff": _to_float,
-    "weight_spec": _to_float, "weight_recon": _to_float,
-    "weight_illum": _to_float,
-}
-_DATA_KEYS = {
-    "scenes": _to_int, "views": _to_int, "height": _to_int, "width": _to_int,
-    "data_seed": _to_int, "overwrite": _to_bool, "arc_radius": _to_float,
-    "arc_span": _to_float, "elevation": _to_float, "fov_degrees": _to_float,
-}
-_SCENE_KEYS = {
-    "checker_prob": _to_float, "lobe_count": _to_int,
-    "min_primitives": _to_int, "max_primitives": _to_int,
-}
-_RUN_KEYS = {
-    "dataset": str, "out_dir": str, "seed": _to_int, "steps": _to_int,
-    "step_size": _to_float, "momentum": _to_float, "decay": _to_float,
-    "batch_scenes": _to_int, "views_per_batch": _to_int,
-    "view_dropout": _to_float, "checkpoint_every": _to_int,
-    "depth_weight": _to_float, "train_scenes": _to_int,
-    "occlusion_tau": _to_float,
-}
+_COERCE = {"int": _to_int, "float": _to_float, "bool": _to_bool,
+           "str": lambda key, raw: str(raw)}
+
+
+def _flat_keys(section: str, cls) -> dict:
+    """key -> (section, field, coercion) for each scalar field of `cls`;
+    tuple and nested fields have no flat key."""
+    keys = {}
+    for f in fields(cls):
+        conv = _COERCE.get(getattr(f.type, "__name__", f.type))
+        if conv is not None:
+            clash = (section, f.name) == ("data", "seed")  # vs RunConfig.seed
+            keys["data_seed" if clash else f.name] = (section, f.name, conv)
+    return keys
+
+
+# the schema is the dataclasses; flat key names keep configs greppable
+_KEYS = {**_flat_keys("model", ModelConfig), **_flat_keys("loss", LossConfig),
+         **_flat_keys("data", DatasetConfig),
+         **_flat_keys("scene", SceneConfig), **_flat_keys("run", RunConfig)}
 
 
 def build_run_config(flat: dict) -> RunConfig:
     """Typed RunConfig from a flat mapping; unknown keys are errors."""
-    model_kw, loss_kw, data_kw, scene_kw, run_kw = {}, {}, {}, {}, {}
+    kw = {"model": {}, "loss": {}, "data": {}, "scene": {}, "run": {}}
     for key, raw in flat.items():
-        if key in _MODEL_KEYS:
-            model_kw[key] = _MODEL_KEYS[key](key, raw)
-        elif key in _LOSS_KEYS:
-            loss_kw[key] = _LOSS_KEYS[key](key, raw)
-        elif key in _DATA_KEYS:
-            field_name = "seed" if key == "data_seed" else key
-            data_kw[field_name] = _DATA_KEYS[key](key, raw)
-        elif key in _SCENE_KEYS:
-            scene_kw[key] = _SCENE_KEYS[key](key, raw)
-        elif key in _RUN_KEYS:
-            conv = _RUN_KEYS[key]
-            run_kw[key] = conv(raw) if conv is str else conv(key, raw)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-    if scene_kw:
-        data_kw["scene"] = SceneConfig(**scene_kw)
-    try:
-        return RunConfig(model=ModelConfig(**model_kw),
-                         loss=LossConfig(**loss_kw),
-                         data=DatasetConfig(**data_kw),
-                         **run_kw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        section, name, conv = _KEYS[key]
+        kw[section][name] = conv(key, raw)
+    if kw["scene"]:
+        kw["data"]["scene"] = SceneConfig(**kw["scene"])
+    return RunConfig(model=ModelConfig(**kw["model"]),
+                     loss=LossConfig(**kw["loss"]),
+                     data=DatasetConfig(**kw["data"]), **kw["run"])
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -64,12 +64,13 @@ def loss_shading_log(pred, gt, eps: float = 1e-4) -> Tensor:
     Relative-intensity error: exactly invariant to common positive
     rescaling of pred and gt when eps is 0.
     """
-    p, g = nd.as_tensor(pred), nd.as_tensor(gt)
+    p, g = nd.as_tensor(pred), nd.as_tensor(gt).data
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    if np.min(p.data) < 0 or np.min(g.data) < 0:
+    if np.min(p.data) < 0 or np.min(g) < 0:
         raise ValueError("shading losses require nonnegative inputs")
-    diff = nd.tlog(p + eps) - nd.tlog(g + eps)
+    # the target is a constant: its log stays off the tape
+    diff = nd.tlog(p + eps) - Tensor(np.log(g + eps))
     return nd.tmean(diff * diff)
 
 

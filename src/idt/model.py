@@ -25,6 +25,7 @@ Range contracts hold for arbitrary finite parameters: albedo in [0,1]
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,9 +38,9 @@ from .ndtensor import Tensor
 FACTORS = ("alb", "diff", "spec", "illum")
 
 
-class NonFiniteError(ValueError):
-    """An activation blew up to inf/NaN; distinguishes numerical explosion
-    from contract violations so the trainer can classify it as an abort."""
+class NumericalAbort(RuntimeError):
+    """A forward stage, loss term or gradient went non-finite; the message
+    names the first one. Every command maps it to exit code 4."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,6 @@ class AdaptedContext:
     factor: str
     context: Tensor  # [(1 + R), d]
 
-    def __post_init__(self):
-        if self.factor not in FACTORS:
-            raise ValueError(f"unknown factor {self.factor!r}")
-        if not np.isfinite(self.context.data).all():
-            raise NonFiniteError(
-                f"adapter context for {self.factor!r} is not finite")
-
 
 @dataclass(frozen=True, eq=False)
 class IntrinsicSet:
@@ -153,48 +147,35 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict:
     def zeros(name, shape):
         params[name] = Tensor(np.zeros(shape))
 
-    def ones_(name, shape):
-        params[name] = Tensor(np.ones(shape))
+    def norm(name):
+        params[f"{name}/gain"] = Tensor(np.ones(d))
+        zeros(f"{name}/bias", (d,))
 
     normal("patch/weight", (p * p * 3, d))
     zeros("patch/bias", (d,))
     normal("tokens/camera", (d,))
     normal("tokens/register", (config.register_count, d))
 
-    def attn_block(prefix):
-        ones_(f"{prefix}/ln1/gain", (d,))
-        zeros(f"{prefix}/ln1/bias", (d,))
+    def block(prefix, norms):
+        """Attention + MLP block; `norms` are the pre-attention layer norms:
+        ("ln1",) on shared tokens, ("lnq", "lnkv") for cross-attention."""
+        for ln in norms:
+            norm(f"{prefix}/{ln}")
         for nm in ("wq", "wk", "wv", "wo"):
             normal(f"{prefix}/{nm}", (d, d))
         for nm in ("bq", "bk", "bv", "bo"):
             zeros(f"{prefix}/{nm}", (d,))
-        ones_(f"{prefix}/ln2/gain", (d,))
-        zeros(f"{prefix}/ln2/bias", (d,))
+        norm(f"{prefix}/ln2")
         normal(f"{prefix}/mlp/w1", (d, 4 * d))
         zeros(f"{prefix}/mlp/b1", (4 * d,))
         normal(f"{prefix}/mlp/w2", (4 * d, d))
         zeros(f"{prefix}/mlp/b2", (d,))
 
     for i in range(config.block_pairs):
-        attn_block(f"enc{i}/frame")
-        attn_block(f"enc{i}/global")
-
+        block(f"enc{i}/frame", ("ln1",))
+        block(f"enc{i}/global", ("ln1",))
     for k in FACTORS:
-        prefix = f"adapt/{k}"
-        ones_(f"{prefix}/lnq/gain", (d,))
-        zeros(f"{prefix}/lnq/bias", (d,))
-        ones_(f"{prefix}/lnkv/gain", (d,))
-        zeros(f"{prefix}/lnkv/bias", (d,))
-        for nm in ("wq", "wk", "wv", "wo"):
-            normal(f"{prefix}/{nm}", (d, d))
-        for nm in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}/{nm}", (d,))
-        ones_(f"{prefix}/ln2/gain", (d,))
-        zeros(f"{prefix}/ln2/bias", (d,))
-        normal(f"{prefix}/mlp/w1", (d, 4 * d))
-        zeros(f"{prefix}/mlp/b1", (4 * d,))
-        normal(f"{prefix}/mlp/w2", (4 * d, d))
-        zeros(f"{prefix}/mlp/b2", (d,))
+        block(f"adapt/{k}", ("lnq", "lnkv"))
 
     n_illum = 7 * config.sg_lobes + 3
     normal("head/alb/mod_w", (d, d))
@@ -217,12 +198,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict:
 
 def adapter_param_names(config: ModelConfig, factor: str) -> list:
     """Registry audit helper: the adapter parameter names for one factor."""
-    names = []
-    for nm in ("lnq/gain", "lnq/bias", "lnkv/gain", "lnkv/bias",
-               "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-               "ln2/gain", "ln2/bias", "mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2"):
-        names.append(f"adapt/{factor}/{nm}")
-    return names
+    return [n for n in init_params(config) if n.startswith(f"adapt/{factor}/")]
 
 
 # building blocks ---------------------------------------------------------------
@@ -361,8 +337,8 @@ def illumination_conditioning(raw: Tensor, k: int) -> Tensor:
     stay in the softplus preimage.
     """
     block = raw.data[:7 * k].reshape(k, 7)
-    luma = np.logaddexp(0.0, block[:, 4:7]) @ sglight.LUMA_WEIGHTS
-    order = np.lexsort((-np.logaddexp(0.0, block[:, 3]), -luma))
+    order = sglight.canonical_order(np.logaddexp(0.0, block[:, 3]),
+                                    np.logaddexp(0.0, block[:, 4:7]))
     lobes = raw[7 * order[:, None] + np.arange(7)]  # [k, 7], canonical order
     axis = lobes[:, :3]
     norm = nd.tsqrt((axis * axis).sum(axis=1, keepdims=True) + 1e-24)
@@ -414,29 +390,51 @@ def predict_depth(tokens: TokenSet, params: dict,
 # full forward -------------------------------------------------------------------
 
 
+def _checked(stage: str, t: Tensor, positive: bool = False) -> Tensor:
+    """`t` itself, or NumericalAbort naming `stage` if any entry is inf/NaN
+    (or, with `positive`, not > 0)."""
+    lo, hi = float(t.data.min()), float(t.data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalAbort(f"{stage} is not finite")
+    if positive and not lo > 0.0:
+        raise NumericalAbort(f"{stage} is not positive (min {lo:g})")
+    return t
+
+
 def forward(images, config: ModelConfig, params: dict) -> dict:
     """Single forward pass keeping everything on the active tape.
 
     Returns Tensors for the dense factors plus the raw illumination vector,
     its differentiable canonical conditioning, and the value-level mixture.
+    Each stage's output is checked in order; the first one that is not
+    finite (depth: not finite and > 0) raises NumericalAbort naming it.
     """
     tokens = encode(images, config, params)
-    ctx = {k: adapt(tokens, k, params, config.heads) for k in FACTORS}
-    raw = _illum_raw(ctx["illum"], params)
+    _checked("encoder output", tokens.tokens)
+    ctx = {}
+    for k in FACTORS:
+        ctx[k] = adapt(tokens, k, params, config.heads)
+        _checked(f"adapter context for {k!r}", ctx[k].context)
+    raw = _checked("illumination head output",
+                   _illum_raw(ctx["illum"], params))
     cond = illumination_conditioning(raw, config.sg_lobes)
-    mixture = sglight.unpack(raw.data, config.sg_lobes)
     out = {
         "tokens": tokens,
-        "albedo": predict_albedo(tokens, ctx["alb"], params),
-        "s_diff": predict_shading(tokens, ctx["diff"], cond, params, "diff"),
-        "s_spec": predict_shading(tokens, ctx["spec"], cond, params, "spec"),
+        "albedo": _checked("albedo head output",
+                           predict_albedo(tokens, ctx["alb"], params)),
+        "s_diff": _checked("diffuse head output", predict_shading(
+            tokens, ctx["diff"], cond, params, "diff")),
+        "s_spec": _checked("specular head output", predict_shading(
+            tokens, ctx["spec"], cond, params, "spec")),
         "illum_raw": raw,
         "illum_cond": cond,
-        "illumination": mixture,
+        "illumination": sglight.unpack(raw.data, config.sg_lobes),
         "context": ctx,
     }
     if config.aux_depth:
-        out["depth"] = predict_depth(tokens, params, config)
+        out["depth"] = _checked("depth head output",
+                                predict_depth(tokens, params, config),
+                                positive=True)
     return out
 
 

@@ -79,9 +79,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -113,9 +110,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -278,14 +272,6 @@ def div(a, b) -> Tensor:
         _record(out, (a, b), lambda g, ad=a.data, bd=b.data: (
             _unbroadcast(g / bd, ad.shape),
             _unbroadcast(-g * ad / (bd * bd), bd.shape)))
-    return out
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor._wrap(-a.data)
-    if _TAPE_STACK:
-        _record(out, (a,), lambda g: (-g,))
     return out
 
 

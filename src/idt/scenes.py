@@ -561,10 +561,9 @@ def render_view(scene: SceneSpec, camera: Camera, resolution) -> GroundTruthFram
         camera=camera)
 
 
-def render_batch(scene: SceneSpec, cameras, resolution,
-                 illumination=None) -> MultiViewBatch:
+def render_batch(scene: SceneSpec, cameras, resolution) -> MultiViewBatch:
     frames = tuple(render_view(scene, c, resolution) for c in cameras)
-    return MultiViewBatch(frames, illumination or scene.illumination)
+    return MultiViewBatch(frames, scene.illumination)
 
 
 # dataset layout ----------------------------------------------------------------
@@ -653,16 +652,14 @@ def load_manifest(dataset_dir) -> dict:
     return out
 
 
-def load_scene(dataset_dir, index: int, views=None) -> MultiViewBatch:
-    """Load one scene's frames (optionally a subset of view indices)."""
+def load_scene(dataset_dir, index: int) -> MultiViewBatch:
+    """Load all of one scene's frames."""
     root = os.fspath(dataset_dir)
     manifest = load_manifest(root)
     sdir = os.path.join(root, scene_dir_name(index))
     illumination = sglight.load_sgm(os.path.join(sdir, "sgm.txt"))
-    if views is None:
-        views = range(manifest["views"])
     frames = []
-    for vi in views:
+    for vi in range(manifest["views"]):
         vdir = os.path.join(sdir, view_dir_name(vi))
         frames.append(GroundTruthFrame(
             image=read_pfm(os.path.join(vdir, "image.pfm")),

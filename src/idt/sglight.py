@@ -28,6 +28,7 @@ import numpy as np
 LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])
 
 N_QUADRATURE = 2048
+IRRADIANCE_CHUNK = 256  # normals per [chunk, n_samples, 3] direction block
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 AXIS_NORM_TOL = 1e-9   # constructor tolerance on |xi| - 1
@@ -111,15 +112,20 @@ class SGMixture:
         return np.stack([l.amplitude for l in self.lobes])
 
 
+def canonical_order(sharpness: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    """Lobe indices by descending luminance of amplitude [K, 3], ties by
+    descending sharpness [K]; the sort is stable."""
+    return np.lexsort((-sharpness, -(amplitude @ LUMA_WEIGHTS)))
+
+
 def canonicalize(mixture: SGMixture) -> SGMixture:
-    """Sort lobes by descending luminance, ties by descending sharpness.
+    """Reorder lobes into canonical_order.
 
     Pure reordering: sg_radiance is unchanged pointwise, and the sort is
     stable so the result is deterministic and idempotent.
     """
-    lobes = sorted(mixture.lobes,
-                   key=lambda l: (-l.luminance, -l.sharpness))
-    return SGMixture(tuple(lobes), mixture.ambient)
+    order = canonical_order(mixture._sharpnesses(), mixture._amplitudes())
+    return SGMixture(tuple(mixture.lobes[i] for i in order), mixture.ambient)
 
 
 # radiance -------------------------------------------------------------------
@@ -214,8 +220,7 @@ def diffuse_irradiance(mixture: SGMixture, normal,
 
 
 def diffuse_irradiance_batch(mixture: SGMixture, normals: np.ndarray,
-                             n_samples: int = N_QUADRATURE,
-                             chunk: int = 256) -> np.ndarray:
+                             n_samples: int = N_QUADRATURE) -> np.ndarray:
     """diffuse_irradiance over an [M, 3] array of unit normals."""
     normals = np.asarray(normals, dtype=np.float64)
     m = normals.shape[0]
@@ -228,8 +233,8 @@ def diffuse_irradiance_batch(mixture: SGMixture, normals: np.ndarray,
     sharps = mixture._sharpnesses()
     amps = mixture._amplitudes()
 
-    for lo in range(0, m, chunk):
-        ns = normals[lo:lo + chunk]
+    for lo in range(0, m, IRRADIANCE_CHUNK):
+        ns = normals[lo:lo + IRRADIANCE_CHUNK]
         t1, t2 = _anchored_frames(ns, axes)
         # directions [m, n, 3] in the co-rotating frame
         dirs = (z[None, :, None] * ns[:, None, :]
@@ -240,7 +245,7 @@ def diffuse_irradiance_batch(mixture: SGMixture, normals: np.ndarray,
             t = dirs @ axes[k]
             w = np.exp(sharps[k] * (t - 1.0)) * z[None, :]
             acc += w.sum(axis=1)[:, None] * amps[k]
-        out[lo:lo + chunk] += acc * (2.0 / n_samples)
+        out[lo:lo + IRRADIANCE_CHUNK] += acc * (2.0 / n_samples)
     return np.maximum(out, 0.0)
 
 

@@ -18,16 +18,12 @@ from . import model as idtmodel
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .ioutil import atomic_write_text
+from .model import NumericalAbort
 from .ndtensor import Tape, Tensor, grad
 from .scenes import MultiViewBatch, load_manifest, load_scene
 
 CHECKPOINT_NAME = "checkpoint.bin"
 LOG_NAME = "train_log.txt"
-
-
-class NumericalAbort(RuntimeError):
-    """Raised on the first non-finite loss term or parameter gradient,
-    naming it and the step."""
 
 
 @dataclass
@@ -57,54 +53,41 @@ def _subset(batch: MultiViewBatch, view_idx) -> MultiViewBatch:
                           batch.illumination)
 
 
-def scene_loss(images, gt: dict, cfg: RunConfig, params: dict,
-               step=None):
+def scene_loss(images, gt: dict, cfg: RunConfig, params: dict):
     """Forward pass and full objective for one scene's view stack.
 
     Returns (total, breakdown, depth_term); the depth term enters the total
     with weight cfg.depth_weight and is kept separate in the breakdown so
-    the log line can report it unweighted. Divergence (non-finite
-    activations, depth underflow to zero) raises NumericalAbort rather
-    than leaking the loss functions' precondition errors.
+    the log line can report it unweighted. Divergence raises the forward
+    pass's NumericalAbort before any loss precondition can fail.
     """
-    where = f"step {step}: " if step is not None else ""
-    try:
-        out = idtmodel.forward(images, cfg.model, params)
-    except idtmodel.NonFiniteError as exc:
-        raise NumericalAbort(f"{where}{exc}") from exc
+    out = idtmodel.forward(images, cfg.model, params)
     total, breakdown = losses.loss_total(out, gt, images, cfg.loss)
     depth_term = None
     if cfg.model.aux_depth and gt.get("depth") is not None:
-        dmin = float(out["depth"].data.min())
-        # exp underflow: log-depth loss needs strictly positive predictions
-        if not dmin > 0.0 or not np.isfinite(float(out["depth"].data.max())):
-            raise NumericalAbort(f"{where}depth head degenerate "
-                                 f"(min {dmin:g})")
         depth_term = losses.loss_depth_log(out["depth"], gt["depth"])
         total = total + depth_term * cfg.depth_weight
     return total, breakdown, depth_term
 
 
-def _check_finite(step: int, total, breakdown: dict, depth_term) -> None:
+def _check_finite(total, breakdown: dict, depth_term) -> None:
     for name in losses.LOSS_TERMS:
         t = breakdown.get(name)
         if t is not None and not np.isfinite(float(t.data)):
-            raise NumericalAbort(
-                f"step {step}: loss term '{name}' is non-finite")
+            raise NumericalAbort(f"loss term '{name}' is non-finite")
     if depth_term is not None and not np.isfinite(float(depth_term.data)):
-        raise NumericalAbort(f"step {step}: loss term 'depth' is non-finite")
+        raise NumericalAbort("loss term 'depth' is non-finite")
     if not np.isfinite(float(total.data)):
-        raise NumericalAbort(f"step {step}: total loss is non-finite")
+        raise NumericalAbort("total loss is non-finite")
 
 
-def _check_finite_grads(step: int, names, grads) -> None:
+def _check_finite_grads(names, grads) -> None:
     """Abort before the update on the first non-finite gradient, by name."""
     for name, g in zip(names, grads):
         # a sum is cheaper than an elementwise test and is finite unless an
         # entry is inf/NaN or the entries overflow (the exact test clears that)
         if not math.isfinite(g.data.sum()) and not np.isfinite(g.data).all():
-            raise NumericalAbort(
-                f"step {step}: gradient of parameter '{name}' is non-finite")
+            raise NumericalAbort(f"gradient of parameter '{name}' is non-finite")
 
 
 def run_training(cfg: RunConfig, resume: str | None = None,
@@ -171,30 +154,34 @@ def run_training(cfg: RunConfig, resume: str | None = None,
         term_sums: dict = {}
         depth_sum = 0.0
         depth_seen = False
-        with Tape() as tape:
-            for p in params.values():
-                tape.watch(p)
-            total = None
-            for sid, vids in zip(scene_ids, view_sel):
-                batch = cache.get(sid)
-                if batch is None:
-                    batch = cache[sid] = load_scene(cfg.dataset, sid)
-                sub = _subset(batch, vids)
-                gt = losses.stack_ground_truth(sub)
-                images = np.stack([f.image for f in sub.frames])
-                t, br, dt = scene_loss(images, gt, cfg, params, step=step)
-                _check_finite(step, t, br, dt)
-                total = t if total is None else total + t
-                for name, v in br.items():
-                    term_sums[name] = term_sums.get(name, 0.0) + float(v.data)
-                if dt is not None:
-                    depth_sum += float(dt.data)
-                    depth_seen = True
-            if len(scene_ids) > 1:
-                total = total * (1.0 / len(scene_ids))
+        try:
+            with Tape() as tape:
+                for p in params.values():
+                    tape.watch(p)
+                total = None
+                for sid, vids in zip(scene_ids, view_sel):
+                    batch = cache.get(sid)
+                    if batch is None:
+                        batch = cache[sid] = load_scene(cfg.dataset, sid)
+                    sub = _subset(batch, vids)
+                    gt = losses.stack_ground_truth(sub)
+                    images = np.stack([f.image for f in sub.frames])
+                    t, br, dt = scene_loss(images, gt, cfg, params)
+                    _check_finite(t, br, dt)
+                    total = t if total is None else total + t
+                    for name, v in br.items():
+                        term_sums[name] = (term_sums.get(name, 0.0)
+                                           + float(v.data))
+                    if dt is not None:
+                        depth_sum += float(dt.data)
+                        depth_seen = True
+                if len(scene_ids) > 1:
+                    total = total * (1.0 / len(scene_ids))
 
-        grads = grad(tape, total, [params[n] for n in param_names])
-        _check_finite_grads(step, param_names, grads)
+            grads = grad(tape, total, [params[n] for n in param_names])
+            _check_finite_grads(param_names, grads)
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"step {step}: {exc}") from exc
 
         lr = cfg.step_size / (1.0 + cfg.decay * step)
         for n, g in zip(param_names, grads):

@@ -160,6 +160,26 @@ class TestDecompose:
         assert rc == 4
         assert "numerical abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value,stage", [
+        ("head/spec/dec_w", np.nan, "specular head"),
+        ("enc0/frame/wq", np.nan, "encoder"),
+        ("head/depth/b", 2000.0, "depth head"),  # exp overflow to inf
+    ], ids=["spec_head", "encoder", "depth_overflow"])
+    def test_non_finite_stage_is_named(self, tiny_dataset, tmp_path, capsys,
+                                       name, value, stage):
+        params = dict(init_params(MICRO, seed=0))
+        w = params[name].data.copy()
+        w.flat[0] = value
+        params[name] = Tensor(w)
+        ck = tmp_path / "bad.bin"
+        save_checkpoint(ck, params, MICRO)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["decompose", "--checkpoint", str(ck), "--out",
+                           str(tmp_path / "o")] + scene_images(tiny_dataset, 1))
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert stage in err and "'alb'" not in err
+
 
 class TestEval:
     def eval_cfg(self, tiny_dataset, tmp_path):

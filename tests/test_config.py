@@ -86,6 +86,68 @@ class TestBuildRunConfig:
         assert build_run_config({"overwrite": raw}).data.overwrite is expect
 
 
+# every flat config key: (the field it sets, a raw value, the typed value);
+# written out so a renamed field or a tuple field gaining a key shows here
+KEY_CONTRACT = {
+    "patch_size": ("model.patch_size", "4", 4),
+    "embed_dim": ("model.embed_dim", "16", 16),
+    "block_pairs": ("model.block_pairs", "2", 2),
+    "heads": ("model.heads", "2", 2),
+    "register_count": ("model.register_count", "3", 3),
+    "sg_lobes": ("model.sg_lobes", "2", 2),
+    "aux_depth": ("model.aux_depth", "no", False),
+    "eps": ("loss.eps", "0.001", 0.001),
+    "weight_alb": ("loss.weight_alb", "0.5", 0.5),
+    "weight_diff": ("loss.weight_diff", "0.5", 0.5),
+    "weight_spec": ("loss.weight_spec", "0.5", 0.5),
+    "weight_recon": ("loss.weight_recon", "0.5", 0.5),
+    "weight_illum": ("loss.weight_illum", "0.25", 0.25),
+    "scenes": ("data.scenes", "3", 3),
+    "views": ("data.views", "2", 2),
+    "height": ("data.height", "16", 16),
+    "width": ("data.width", "24", 24),
+    "data_seed": ("data.seed", "9", 9),
+    "overwrite": ("data.overwrite", "yes", True),
+    "arc_radius": ("data.arc_radius", "3.5", 3.5),
+    "arc_span": ("data.arc_span", "0.2", 0.2),
+    "elevation": ("data.elevation", "0.1", 0.1),
+    "fov_degrees": ("data.fov_degrees", "40", 40.0),
+    "checker_prob": ("data.scene.checker_prob", "0.25", 0.25),
+    "lobe_count": ("data.scene.lobe_count", "2", 2),
+    "min_primitives": ("data.scene.min_primitives", "1", 1),
+    "max_primitives": ("data.scene.max_primitives", "3", 3),
+    "dataset": ("dataset", "d", "d"),
+    "out_dir": ("out_dir", "o", "o"),
+    "seed": ("seed", "7", 7),
+    "steps": ("steps", "11", 11),
+    "step_size": ("step_size", "0.01", 0.01),
+    "momentum": ("momentum", "0.8", 0.8),
+    "decay": ("decay", "0.5", 0.5),
+    "batch_scenes": ("batch_scenes", "2", 2),
+    "views_per_batch": ("views_per_batch", "3", 3),
+    "view_dropout": ("view_dropout", "0.1", 0.1),
+    "checkpoint_every": ("checkpoint_every", "5", 5),
+    "depth_weight": ("depth_weight", "0.2", 0.2),
+    "train_scenes": ("train_scenes", "4", 4),
+    "occlusion_tau": ("occlusion_tau", "0.1", 0.1),
+}
+
+
+class TestKeyContract:
+    @pytest.mark.parametrize("key", sorted(KEY_CONTRACT))
+    def test_key_sets_its_field(self, key):
+        path, raw, expect = KEY_CONTRACT[key]
+        value = build_run_config({key: raw})
+        for part in path.split("."):
+            value = getattr(value, part)
+        assert value == expect and type(value) is type(expect)
+
+    @pytest.mark.parametrize("key", ["sharpness_range", "palette", "model"])
+    def test_tuple_and_nested_fields_have_no_key(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_run_config({key: "1"})
+
+
 class TestValidate:
     def base(self, **kw):
         return RunConfig(**kw)

@@ -163,13 +163,21 @@ class TestAdapt:
             c2 = adapt(t2, k, params, SMALL.heads).context.data
             assert np.max(np.abs(c1 - c2)) < 1e-9
 
-    def test_nonfinite_context_names_factor(self):
+    @pytest.mark.parametrize("name,stage", [
+        ("adapt/spec/wo", "'spec'"),
+        ("head/spec/dec_w", "specular head"),
+        ("enc0/frame/wq", "encoder"),
+    ], ids=["adapter", "spec_head", "encoder"])
+    def test_nonfinite_context_names_factor(self, name, stage):
+        # the first non-finite stage is named, not a later one it poisons
         params = init_params(SMALL, seed=5)
-        wo = params["adapt/spec/wo"].data.copy()
-        wo[0, 0] = np.nan
-        params["adapt/spec/wo"] = Tensor(wo)
-        with pytest.raises(model.NonFiniteError, match="'spec'"):
+        w = params[name].data.copy()
+        w[0, 0] = np.nan
+        params[name] = Tensor(w)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(model.NumericalAbort, match=stage) as info:
             forward(small_images(5), SMALL, params)
+        assert "'alb'" not in str(info.value)
 
     def test_permutation_invariance(self):
         params = init_params(SMALL, seed=4)

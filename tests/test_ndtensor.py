@@ -169,10 +169,6 @@ class TestOpGradients:
         check_grad(lambda t: (Tensor(c) / t).sum(),
                    lambda a: (c / a).sum(), x)
 
-    def test_neg(self):
-        x = self.rng.standard_normal(5)
-        check_grad(lambda t: (-t * t).sum(), lambda a: (-a * a).sum(), x)
-
     def test_exp(self):
         x = self.rng.standard_normal(6)
         check_grad(lambda t: nd.texp(t).sum(), lambda a: np.exp(a).sum(), x)
@@ -606,7 +602,7 @@ def test_no_tape_records_nothing(monkeypatch):
     rng = np.random.default_rng(23)
     x = Tensor(rng.random((3, 4)) + 0.5)
     w = Tensor(rng.standard_normal((4, 4)))
-    for op in (nd.neg, nd.texp, nd.tlog, nd.tsqrt, nd.tabs, nd.tanh,
+    for op in (nd.texp, nd.tlog, nd.tsqrt, nd.tabs, nd.tanh,
                nd.sigmoid, nd.softplus, nd.gelu, nd.tsum,
                nd.tmean, nd.transpose):
         op(x)

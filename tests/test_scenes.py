@@ -357,12 +357,3 @@ class TestDataset:
         assert (m["scenes"], m["views"], m["height"], m["width"], m["seed"]) \
                == (1, 2, 16, 16, 21)
 
-    def test_load_scene_subset(self, tmp_path):
-        cfg = DatasetConfig(scenes=1, views=3, height=16, width=16, seed=2)
-        out = tmp_path / "data"
-        make_dataset(cfg, out)
-        batch = scenes.load_scene(out, 0, views=[2, 0])
-        assert batch.v == 2
-        full = scenes.load_scene(out, 0)
-        np.testing.assert_array_equal(batch.frames[0].image,
-                                      full.frames[2].image)

@@ -210,7 +210,7 @@ def test_scene_loss_tape_size(tmp_path):
         tape.watch(*params.values())
         train.scene_loss(batch.images(), losses.stack_ground_truth(batch),
                          cfg, params)
-    assert len(tape) <= 300
+    assert len(tape) <= 265
     # the token views are sliced once per scene, not once per access
     getitems = [node for node in tape._nodes
                 if node[2].__qualname__.startswith("getitem.")]
